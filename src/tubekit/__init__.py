@@ -30,7 +30,7 @@ from .datamodel import (
     save_tracks,
 )
 from .filtering import filter_by_tracks
-from .geometry import Box, TubeGeometry, iou2d, st_iou
+from .geometry import Box, TubeGeometry, box_iou, iou2d, st_iou
 from .linking import (
     LinkedPath,
     LinkParams,

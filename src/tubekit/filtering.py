@@ -8,8 +8,10 @@ evaluation with spurious positives.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .datamodel import FrameDetections
-from .geometry import iou2d
+from .geometry import box_iou
 
 __all__ = ["filter_by_tracks"]
 
@@ -27,19 +29,29 @@ def filter_by_tracks(detections, tracks, match_iou: float = 0.5,
     if not 0.0 <= score_thresh <= 1.0:
         raise ValueError(f"score_thresh {score_thresh} outside [0, 1]")
 
-    track_boxes = {}
+    track_idx, track_rows = {}, []          # (video, frame) -> indices into track_rows
     for tr in tracks:
         geo = tr.geometry
-        for i in range(len(geo)):
-            frame = geo.start_frame + i
-            track_boxes.setdefault((tr.video_id, frame), []).append(geo.box_at(frame))
+        for frame, row in enumerate(geo.boxes.tolist(), start=geo.start_frame):
+            track_idx.setdefault((tr.video_id, frame), []).append(len(track_rows))
+            track_rows.append(row)
 
-    out = []
-    for fd in detections:
-        boxes = track_boxes.get((fd.video_id, fd.frame), ())
-        kept = [
-            d for d in fd.entries
-            if d.score >= score_thresh and any(iou2d(d.box, b) >= match_iou for b in boxes)
-        ]
-        out.append(FrameDetections(fd.video_id, fd.frame, kept))
-    return out
+    # Every (detection, track box) pair on a shared frame, scored by one box_iou call.
+    cands = [[d for d in fd.entries if d.score >= score_thresh] for fd in detections]
+    det_rows, pair_det, pair_trk = [], [], []
+    for fd, ds in zip(detections, cands):
+        idx = track_idx.get((fd.video_id, fd.frame), [])
+        for d in ds:
+            pair_det += [len(det_rows)] * len(idx)
+            pair_trk += idx
+            det_rows.append((d.box.x1, d.box.y1, d.box.x2, d.box.y2))
+    pair_det = np.array(pair_det, dtype=np.intp)
+    ious = box_iou(np.array(det_rows).reshape(-1, 4)[pair_det],
+                   np.array(track_rows).reshape(-1, 4)[np.array(pair_trk, dtype=np.intp)])
+    on_track = np.zeros(len(det_rows), dtype=bool)
+    on_track[pair_det[ious >= match_iou]] = True
+    hits = iter(on_track.tolist())
+    return [
+        FrameDetections(fd.video_id, fd.frame, [d for d in ds if next(hits)])
+        for fd, ds in zip(detections, cands)
+    ]

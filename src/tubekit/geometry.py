@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Box", "TubeGeometry", "iou2d", "st_iou"]
+__all__ = ["Box", "TubeGeometry", "box_iou", "iou2d", "st_iou"]
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,24 @@ def iou2d(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return inter / union
+
+
+def box_iou(a, b) -> np.ndarray:
+    """Element-wise IoU of two broadcastable (..., 4) float64 box arrays.
+
+    Uses ``iou2d``'s arithmetic in the same order, so every value equals
+    ``iou2d`` on the same pair bit for bit.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = area_a + area_b - inter
+    # Not `union > 0.0`: an overflowed (NaN) union divides, as in iou2d.
+    return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
 
 
 class TubeGeometry:
@@ -125,7 +143,8 @@ def st_iou(a: TubeGeometry, b: TubeGeometry) -> float:
         return 0.0
     n_inter = hi - lo + 1
     n_union = len(a) + len(b) - n_inter
-    total = 0.0
-    for f in range(lo, hi + 1):
-        total += iou2d(a.box_at(f), b.box_at(f))
+    ious = box_iou(a.boxes[lo - a.start_frame : hi - a.start_frame + 1],
+                   b.boxes[lo - b.start_frame : hi - b.start_frame + 1])
+    # Left-to-right like a Python loop; np.sum's pairwise order moves last bits.
+    total = float(np.add.accumulate(ious)[-1])
     return (n_inter / n_union) * (total / n_inter)

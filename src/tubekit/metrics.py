@@ -135,18 +135,6 @@ def _pr_curve(match_list, npos) -> PRCurve:
     return PRCurve(recalls, precisions, npos)
 
 
-def _ap_of_matches(match_list, npos) -> float | None:
-    if npos == 0:
-        return None
-    tp = 0
-    total = 0.0
-    for rank, (_, matched) in enumerate(match_list, start=1):
-        if matched is not None:
-            tp += 1
-            total += tp / rank
-    return total / npos
-
-
 def _motion_breakdown(class_matches, gts, motion_labels):
     categories = {}
     for g in gts:
@@ -179,11 +167,15 @@ def _motion_breakdown(class_matches, gts, motion_labels):
         for c, matches in class_matches.items():
             kept = reduce_matches(matches)
             pooled.extend(kept)
-            ap = _ap_of_matches(kept, npos_by_class.get(c, 0))
+            ap = average_precision(
+                [(d.score, m is not None) for d, m in kept], npos_by_class.get(c, 0)
+            )
             if ap is not None:
                 per_class_ap[c] = ap
         pooled.sort(key=lambda m: (-m[0].score, m[0].gidx))
-        pooled_ap = _ap_of_matches(pooled, total_npos)
+        pooled_ap = average_precision(
+            [(d.score, m is not None) for d, m in pooled], total_npos
+        )
         mean_ap = (
             sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else None
         )
@@ -218,7 +210,9 @@ def _evaluate(dets, gts, thresh, overlap, level, motion_labels=None, jobs=1) -> 
     per_class_ap = {}
     pr_curves = {}
     for c in all_classes:
-        ap = _ap_of_matches(class_matches[c], npos[c])
+        ap = average_precision(
+            [(d.score, m is not None) for d, m in class_matches[c]], npos[c]
+        )
         pr_curves[c] = _pr_curve(class_matches[c], npos[c])
         if ap is not None:
             per_class_ap[c] = ap

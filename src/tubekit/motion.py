@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import DatasetConfig, FileFormatError
-from .geometry import TubeGeometry, iou2d
+from .geometry import TubeGeometry, box_iou
 from .jsonfmt import dumps
 
 __all__ = [
@@ -72,18 +72,16 @@ def motion_iou(tube: TubeGeometry, offsets) -> tuple:
         raise ValueError("offsets must be non-empty")
     if any(d <= 0 for d in offsets):
         raise ValueError("offsets must be positive")
-    n = len(tube)
+    boxes = tube.boxes
+    n = len(boxes)
     per_offset = []
     used = []
     for d in offsets:
         if n <= d:
             continue
-        total = 0.0
-        count = n - d
-        for t in range(count):
-            total += iou2d(tube.box_at(tube.start_frame + t),
-                           tube.box_at(tube.start_frame + t + d))
-        per_offset.append(total / count)
+        # Summed left to right, as st_iou does, so values match a scalar loop.
+        total = float(np.add.accumulate(box_iou(boxes[: n - d], boxes[d:]))[-1])
+        per_offset.append(total / (n - d))
         used.append(d)
     if not used:
         return 1.0, ()

@@ -9,6 +9,7 @@ jitter, spurious and fragmentation noise.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -71,11 +72,34 @@ class SynthSpec:
             raise ValueError("feature dimensions must be >= 1")
 
 
+def _is_number(v) -> bool:
+    # Rejects NaN and Infinity, which json.load accepts, and integers beyond float range.
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+# The JSON kind each SynthSpec field annotation accepts, and its name for errors.
+_KINDS = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "float": (_is_number, "a finite number"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+              "a list of finite numbers"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
 def spec_from_dict(obj: dict) -> SynthSpec:
-    known = {f.name for f in fields(SynthSpec)}
-    unknown = set(obj) - known
+    """Build a spec from a parsed JSON object, rejecting unknown or mistyped fields."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"synth spec must be a JSON object, got {type(obj).__name__}")
+    kinds = {f.name: _KINDS[f.type] for f in fields(SynthSpec)}
+    unknown = set(obj) - set(kinds)
     if unknown:
         raise ValueError(f"unknown synth spec fields: {sorted(unknown)}")
+    for name, value in obj.items():
+        ok, want = kinds[name]
+        if not ok(value):
+            raise ValueError(f"synth spec field '{name}' must be {want}, got {value!r}")
     return SynthSpec(**obj)
 
 

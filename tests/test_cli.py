@@ -314,6 +314,21 @@ class TestExitCodes:
         assert "gt.ndjson:2" in proc.stderr.decode()
 
 
+class TestSynthSpecErrors:
+    @pytest.mark.parametrize("text, message", [
+        ('{"num_videos": "x"}', "'num_videos' must be an integer"),
+        ('[1, 2]', "must be a JSON object"),
+    ])
+    def test_malformed_spec_exits_1(self, tmp_path, text, message):
+        spec = tmp_path / "s.json"
+        spec.write_text(text)
+        proc = run_cli("synth", "--spec", spec, "--out", tmp_path / "out", check=False)
+        assert proc.returncode == 1
+        stderr = proc.stderr.decode()
+        assert stderr.startswith("error: ") and message in stderr
+        assert "Traceback" not in stderr
+
+
 class TestDeterminism:
     def test_stdout_reproducible_and_jobs_invariant(self, fixture_dir, tmp_path):
         out = fixture_dir / "synth"

@@ -21,6 +21,28 @@ class TestSpec:
         with pytest.raises(ValueError, match="bogus"):
             spec_from_dict({"bogus": 1})
 
+    def test_not_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            spec_from_dict([1, 2])
+
+    @pytest.mark.parametrize("field, value", [
+        ("num_videos", "x"), ("num_videos", True), ("seed", 1.5),
+        ("drop_rate", "0.1"), ("jitter_sigma", False), ("jitter_sigma", float("nan")),
+        ("motion_targets", [float("inf")]), ("motion_targets", [10**400]),
+        ("motion_targets", 0.5), ("motion_targets", [1.0, "a"]), ("motion_targets", [True]),
+        ("dataset", 3), ("emit_features", 1),
+    ])
+    def test_wrong_kind(self, field, value):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            spec_from_dict({field: value})
+
+    def test_numbers_and_lists_accepted(self):
+        spec = spec_from_dict({"drop_rate": 0, "jitter_sigma": 2.0, "spurious_rate": 0.2,
+                               "motion_targets": [0.9, 1], "dataset": "ucf24",
+                               "emit_features": False})
+        assert spec.drop_rate == 0.0
+        assert spec.motion_targets == (0.9, 1.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SynthSpec(drop_rate=1.5)
