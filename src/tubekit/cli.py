@@ -187,8 +187,12 @@ def _cmd_pool_features(args) -> int:
     values = store["features"]
     if values.ndim != 4:
         raise ValueError(f"'features' must be (T, C, H, W), got shape {values.shape}")
-    stride = float(store["spatial_stride"].reshape(-1)[0])
-    grid = FeatureGrid(values, stride)
+    stride = store["spatial_stride"].reshape(-1)
+    if stride.size != 1:
+        raise ValueError(
+            f"{args.features}: 'spatial_stride' must hold one element, got {stride.size}"
+        )
+    grid = FeatureGrid(values, float(stride[0]))
 
     tracks = datamodel.load_tracks(args.tracks)
     if args.video:

@@ -148,7 +148,7 @@ def load_config(path) -> DatasetConfig:
             motion_bins=tuple(obj["motion_bins"]),
             motion_offsets=tuple(obj["motion_offsets"]),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FileFormatError(path, 1, f"bad config: {exc}") from None
 
 
@@ -336,7 +336,10 @@ def _get_int(path, lineno, obj, key, minimum=None) -> int:
 def _get_number(path, lineno, value, what) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FileFormatError(path, lineno, f"{what} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # json keeps 10**400 exact; 1e400 reads as inf, which callers reject
+        raise FileFormatError(path, lineno, f"{what} is beyond float range") from None
 
 
 def _get_boxes(path, lineno, obj, key="boxes") -> list:

@@ -187,7 +187,7 @@ def load_motion_labels(path) -> dict:
                 MotionCategory.from_label(rec["category"]),
                 tuple(int(d) for d in rec["offsets_used"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FileFormatError(path, 1, f"bad label record {i}: {exc}") from None
     return labels
 

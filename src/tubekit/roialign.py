@@ -37,8 +37,8 @@ class FeatureGrid:
             raise ValueError(f"feature grid must be (T, C, H, W), got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature grid must be finite")
-        if self.spatial_stride <= 0:
-            raise ValueError("spatial stride must be positive")
+        if not (math.isfinite(self.spatial_stride) and self.spatial_stride > 0):
+            raise ValueError("spatial stride must be finite and positive")
         self.values = arr
         self.spatial_stride = float(self.spatial_stride)
 
@@ -70,25 +70,26 @@ def bilinear_sample(grid: np.ndarray, x: float, y: float) -> np.ndarray:
     return out
 
 
-def _bilinear_grid(grid: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample grid at the cartesian product ys x xs; returns (C, len(ys), len(xs))."""
-    c, h, w = grid.shape
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    fy = ys - y0
-    fx = xs - x0
-    out = np.zeros((c, len(ys), len(xs)), dtype=np.float64)
-    for yy, wy in ((y0, 1.0 - fy), (y0 + 1, fy)):
-        my = (yy >= 0) & (yy < h)
-        wyv = wy * my
-        yc = np.clip(yy, 0, h - 1)
-        for xx, wx in ((x0, 1.0 - fx), (x0 + 1, fx)):
-            mx = (xx >= 0) & (xx < w)
-            wxv = wx * mx
-            xc = np.clip(xx, 0, w - 1)
-            sub = grid[:, yc[:, None], xc[None, :]]
-            out += sub * (wyv[None, :, None] * wxv[None, None, :])
-    return out
+def _bin_weights(lo, hi, size: int, p: int, s: int) -> np.ndarray:
+    """Bilinear weights of each bin's samples along one axis: (..., P, size).
+
+    [lo, hi] (feature coordinates) splits into P bins of s interior samples;
+    row i averages the samples of bin i, each spreading 1 - frac onto its
+    floor cell and frac onto the next. Cells outside [0, size) have no
+    column, so samples there read zero.
+    """
+    if p < 1:
+        raise ValueError("output_size must be >= 1")
+    if s < 1:
+        raise ValueError("sampling_ratio must be >= 1")
+    lo, hi = lo[..., None, None], hi[..., None, None]
+    steps = np.arange(p)[:, None] + (np.arange(s) + 0.5) / s
+    pos = (lo + steps * ((hi - lo) / p))[..., None]
+    cell = np.floor(pos)
+    frac = pos - cell
+    cols = np.arange(size)
+    w = (cell == cols) * (1.0 - frac) + (cell + 1.0 == cols) * frac
+    return w.mean(axis=-2)
 
 
 def roi_align(grid: np.ndarray, box: Box, spatial_stride: float,
@@ -97,33 +98,19 @@ def roi_align(grid: np.ndarray, box: Box, spatial_stride: float,
 
     The box maps to feature coordinates via the half-pixel transform, is
     split into P x P bins, and each bin averages an s x s lattice of
-    interior bilinear samples. A degenerate box collapses every sample to
-    one point and is not an error.
+    interior bilinear samples. Sampling is separable, so the pool is
+    wy @ grid @ wx.T with the per-axis weights of ``_bin_weights``. A
+    degenerate box collapses every sample to one point and is not an error.
     """
-    if output_size < 1:
-        raise ValueError("output_size must be >= 1")
-    if sampling_ratio < 1:
-        raise ValueError("sampling_ratio must be >= 1")
-    if spatial_stride <= 0:
-        raise ValueError("spatial stride must be positive")
+    if not (math.isfinite(spatial_stride) and spatial_stride > 0):
+        raise ValueError("spatial stride must be finite and positive")
     g = np.asarray(grid, dtype=np.float64)
     if g.ndim != 3:
         raise ValueError(f"grid must be (C, H, W), got shape {g.shape}")
-    p = output_size
-    s = sampling_ratio
-    x1 = box.x1 / spatial_stride - 0.5
-    y1 = box.y1 / spatial_stride - 0.5
-    x2 = box.x2 / spatial_stride - 0.5
-    y2 = box.y2 / spatial_stride - 0.5
-    bin_w = (x2 - x1) / p
-    bin_h = (y2 - y1) / p
-    idx = np.arange(p, dtype=np.float64)[:, None]
-    sub = (np.arange(s, dtype=np.float64)[None, :] + 0.5) / s
-    xs = (x1 + (idx + sub) * bin_w).reshape(-1)
-    ys = (y1 + (idx + sub) * bin_h).reshape(-1)
-    vals = _bilinear_grid(g, ys, xs)
-    c = g.shape[0]
-    return vals.reshape(c, p, s, p, s).mean(axis=(2, 4))
+    x1, y1, x2, y2 = box.as_array() / spatial_stride - 0.5
+    wx = _bin_weights(x1, x2, g.shape[2], output_size, sampling_ratio)
+    wy = _bin_weights(y1, y2, g.shape[1], output_size, sampling_ratio)
+    return wy @ g @ wx.T
 
 
 def align_tracks(features: FeatureGrid, tracks, output_size: int = 7,
@@ -134,10 +121,8 @@ def align_tracks(features: FeatureGrid, tracks, output_size: int = 7,
     than the clip, its first/last box is replicated outward in time. A
     track entirely outside the window is an error.
     """
-    T = features.num_frames
-    c = features.values.shape[1]
-    p = output_size
-    out = np.zeros((len(tracks), T, c, p, p), dtype=np.float64)
+    T, c, h, w = features.values.shape
+    boxes = np.empty((len(tracks), T, 4), dtype=np.float64)
     for n, tr in enumerate(tracks):
         geo = tr.geometry
         if geo.start_frame >= T or geo.end_frame < 0:
@@ -145,12 +130,18 @@ def align_tracks(features: FeatureGrid, tracks, output_size: int = 7,
                 f"track {tr.key} covers frames [{geo.start_frame}, {geo.end_frame}], "
                 f"outside the clip window [0, {T})"
             )
-        for f in range(T):
-            clamped = min(max(f, geo.start_frame), geo.end_frame)
-            out[n, f] = roi_align(
-                features.values[f], geo.box_at(clamped), features.spatial_stride,
-                output_size=p, sampling_ratio=sampling_ratio,
-            )
+        boxes[n] = geo.boxes[np.clip(np.arange(T) - geo.start_frame, 0, len(geo) - 1)]
+    x1, y1, x2, y2 = np.moveaxis(boxes / features.spatial_stride - 0.5, -1, 0)
+    wx = _bin_weights(x1, x2, w, output_size, sampling_ratio).swapaxes(-1, -2)
+    wy = _bin_weights(y1, y2, h, output_size, sampling_ratio)
+    out = np.empty((len(tracks), T, c, output_size, output_size), dtype=np.float64)
+    # One frame at a time for all tracks: a whole-clip contraction would hold
+    # an (N, T, C, P, W) float64 temporary. Casting the frame once and writing
+    # into `out` keeps per-frame temporaries to one (N, C, P, W) block; with
+    # matmul's own cast and a result copy, pool-features' peak RSS rose 9%.
+    for f in range(T):
+        frame = features.values[f].astype(np.float64)
+        np.matmul(wy[:, f, None] @ frame, wx[:, f, None], out=out[:, f])
     return out
 
 

@@ -105,12 +105,10 @@ def spec_from_dict(obj: dict) -> SynthSpec:
 
 def _lane_geometry(length: int, start: int, speed: float, direction: int,
                    lane_y: float) -> TubeGeometry:
-    boxes = np.zeros((length, 4), dtype=np.float64)
     x0 = _MARGIN if direction > 0 else _CANVAS - _BOX - _MARGIN
-    for t in range(length):
-        x = x0 + direction * speed * t
-        boxes[t] = (x, lane_y, x + _BOX, lane_y + _BOX)
-    return TubeGeometry(start, boxes)
+    x = x0 + direction * speed * np.arange(length)
+    y = np.full(length, lane_y)
+    return TubeGeometry(start, np.stack([x, y, x + _BOX, y + _BOX], axis=1))
 
 
 def _solve_speed(target: float, length: int, start: int, direction: int,
@@ -123,11 +121,13 @@ def _solve_speed(target: float, length: int, start: int, direction: int,
 
     max_travel = _CANVAS - _BOX - 2.0 * _MARGIN
     v_max = max_travel / max(length - 1, 1)
-    if target >= 1.0 or measure(0.0) <= target:
-        return 0.0, measure(0.0)
+    still = measure(0.0)
+    if target >= 1.0 or still <= target:
+        return 0.0, still
+    fastest = measure(v_max)
+    if fastest > target + 0.02:
+        return None, fastest
     lo, hi = 0.0, v_max
-    if measure(v_max) > target + 0.02:
-        return None, measure(v_max)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         if measure(mid) > target:

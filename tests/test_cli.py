@@ -314,6 +314,47 @@ class TestExitCodes:
         assert "gt.ndjson:2" in proc.stderr.decode()
 
 
+class TestMalformedInputErrors:
+    """Each malformed input exits 1 with one ``error:`` line, never a traceback."""
+
+    @staticmethod
+    def assert_error(proc, message):
+        assert proc.returncode == 1
+        stderr = proc.stderr.decode()
+        assert stderr.startswith("error: ") and message in stderr
+        assert "Traceback" not in stderr
+
+    def test_build_tubes_coordinate_beyond_float_range(self, tmp_path):
+        det = tmp_path / "det.ndjson"
+        det.write_text(
+            '{"schema":"tubekit.det.v1"}\n'
+            '{"video":"v","frame":0,"dets":[[0,0,1' + "0" * 400 + ',1,0,0.5]]}\n'
+        )
+        proc = run_cli("build-tubes", "--det", det, "--out", tmp_path / "t.ndjson",
+                       check=False)
+        self.assert_error(proc, "det.ndjson:2: dets[0] is beyond float range")
+
+    def test_label_motion_coordinate_beyond_float_range(self, tmp_path):
+        gt = tmp_path / "gt.ndjson"
+        gt.write_text(
+            '{"schema":"tubekit.gt.v1"}\n'
+            '{"video":"v","tube":"t","class":0,"start":0,"boxes":[[0,0,1' + "0" * 400 + ',1]]}\n'
+        )
+        proc = run_cli("label-motion", "--gt", gt, "--dataset", "multisports",
+                       "--out", tmp_path / "l.json", check=False)
+        self.assert_error(proc, "gt.ndjson:2: boxes[0] is beyond float range")
+
+    def test_pool_features_empty_stride(self, feature_fixture, tmp_path):
+        out = feature_fixture / "synth"
+        store = read_tensors(out / "features" / "v000.tkt")
+        bad = tmp_path / "bad.tkt"
+        write_tensors({"features": store["features"],
+                       "spatial_stride": store["spatial_stride"][:0]}, bad)
+        proc = run_cli("pool-features", "--features", bad, "--tracks", out / "tracks.ndjson",
+                       "--tfa", "maxpool", "--out", tmp_path / "x.tkt", check=False)
+        self.assert_error(proc, "'spatial_stride' must hold one element")
+
+
 class TestSynthSpecErrors:
     @pytest.mark.parametrize("text, message", [
         ('{"num_videos": "x"}', "'num_videos' must be an integer"),

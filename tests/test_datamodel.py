@@ -67,6 +67,15 @@ class TestBuiltinConfig:
         with pytest.raises(FileFormatError):
             load_config(path)
 
+    def test_config_file_number_beyond_float_range(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(
+            '{"name":"tiny","fps":10,"class_names":["a"],'
+            '"motion_bins":[0.3,1' + "0" * 400 + '],"motion_offsets":[2]}'
+        )
+        with pytest.raises(FileFormatError, match=r"cfg\.json:1"):
+            load_config(path)
+
 
 def _gt_fixture():
     return [
@@ -183,6 +192,20 @@ class TestValidation:
         path = tmp_path / "gt.ndjson"
         path.write_text('{"schema":"tubekit.det.v1"}\n')
         with pytest.raises(FileFormatError):
+            load_ground_truth(path)
+
+    @pytest.mark.parametrize("number, message", [
+        ("1" + "0" * 400, r"boxes\[0\] is beyond float range"),
+        ("-1" + "0" * 400, r"boxes\[0\] is beyond float range"),
+        ("1e400", "tube boxes must be finite"),
+    ], ids=["int", "negative-int", "float"])
+    def test_number_beyond_float_range_has_locator(self, tmp_path, number, message):
+        path = tmp_path / "gt.ndjson"
+        path.write_text(
+            '{"schema":"tubekit.gt.v1"}\n'
+            '{"video":"v","tube":"t","class":0,"start":0,"boxes":[[0,0,' + number + ',1]]}\n'
+        )
+        with pytest.raises(FileFormatError, match=r"gt\.ndjson:2: " + message):
             load_ground_truth(path)
 
     def test_bad_json_has_locator(self, tmp_path):

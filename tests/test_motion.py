@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tubekit.datamodel import GroundTruthTube, builtin_config
+from tubekit.datamodel import FileFormatError, GroundTruthTube, builtin_config
 from tubekit.geometry import TubeGeometry
 from tubekit.motion import (
     MotionCategory,
@@ -148,6 +148,15 @@ class TestLabelTubes:
         first = path.read_bytes()
         save_motion_labels(load_motion_labels(path), path)
         assert path.read_bytes() == first
+
+    def test_label_file_number_beyond_float_range(self, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(
+            '{"schema":"tubekit.motion.v1","labels":[{"video":"v","tube":"t",'
+            '"motion_iou":1' + "0" * 400 + ',"category":"small","offsets_used":[4]}]}'
+        )
+        with pytest.raises(FileFormatError, match=r"labels\.json:1: bad label record 0"):
+            load_motion_labels(path)
 
     def test_tertile_thresholds(self):
         gts = [

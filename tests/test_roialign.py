@@ -192,3 +192,8 @@ class TestFeatureGrid:
             FeatureGrid(np.zeros((1, 1, 1, 1)), 0.0)
         with pytest.raises(ValueError):
             FeatureGrid(np.full((1, 1, 1, 1), np.nan), 16.0)
+
+    @pytest.mark.parametrize("stride", [np.nan, np.inf])
+    def test_stride_must_be_finite_and_positive(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            FeatureGrid(np.zeros((1, 1, 1, 1)), stride)
