@@ -342,8 +342,92 @@ def _get_number(path, lineno, value, what) -> float:
         raise FileFormatError(path, lineno, f"{what} is beyond float range") from None
 
 
-def _get_boxes(path, lineno, obj, key="boxes") -> list:
+_INF = math.inf
+
+
+# Typed passes. Each accepts a field only when every value already has the
+# type and range the per-field checks require, using exact type tests and
+# local comparisons, so files written by tubekit cost no function call per
+# number. They return None for anything else, and the per-field checks then
+# name the failure. A row that is not a list of the right length fails to
+# unpack (TypeError/ValueError) or yields a non-number; either means None.
+
+
+def _typed_boxes(v):
+    try:
+        for x1, y1, x2, y2 in v:
+            if not (type(x1) is float and type(y1) is float
+                    and type(x2) is float and type(y2) is float):
+                return None
+    except (TypeError, ValueError):
+        return None
+    return np.array(v, dtype=np.float64) if v else None
+
+
+def _typed_scores(v, n):
+    if type(v) is not list or len(v) != n:
+        return None
+    for s in v:
+        if type(s) is not float or not 0.0 <= s <= 1.0:
+            return None
+    return v
+
+
+def _typed_dets(v, num_classes):
+    if type(v) is not list:
+        return None
+    entries = []
+    try:
+        for x1, y1, x2, y2, c, s in v:
+            # -inf < x1 <= x2 < inf holds only for finite, ordered corners.
+            if not (type(x1) is float and type(y1) is float and type(x2) is float
+                    and type(y2) is float and type(c) is int and type(s) is float
+                    and -_INF < x1 <= x2 < _INF and -_INF < y1 <= y2 < _INF
+                    and 0 <= c < num_classes and 0.0 <= s <= 1.0):
+                return None
+            entries.append(_detection(x1, y1, x2, y2, c, s))
+    except (TypeError, ValueError):
+        return None
+    return entries
+
+
+def _typed_matrix(v, width):
+    if type(v) is not list or not v or type(v[0]) is not list:
+        return None
+    if width is None:
+        width = len(v[0])
+    if not width:
+        return None
+    for row in v:
+        if type(row) is not list or len(row) != width:
+            return None
+        for s in row:
+            if type(s) is not float or not 0.0 <= s <= 1.0:
+                return None
+    return v
+
+
+def _detection(x1, y1, x2, y2, class_id, score) -> Detection:
+    """``Detection(Box(x1, y1, x2, y2), class_id, score)`` for values a typed pass accepted."""
+    box = object.__new__(Box)
+    attrs = box.__dict__
+    attrs["x1"] = x1
+    attrs["y1"] = y1
+    attrs["x2"] = x2
+    attrs["y2"] = y2
+    det = object.__new__(Detection)
+    attrs = det.__dict__
+    attrs["box"] = box
+    attrs["class_id"] = class_id
+    attrs["score"] = score
+    return det
+
+
+def _get_boxes(path, lineno, obj, key="boxes") -> np.ndarray:
     v = obj[key]
+    arr = _typed_boxes(v)
+    if arr is not None:
+        return arr
     if not isinstance(v, list) or not v:
         raise FileFormatError(path, lineno, f"field '{key}' must be a non-empty list")
     rows = []
@@ -351,22 +435,75 @@ def _get_boxes(path, lineno, obj, key="boxes") -> list:
         if not isinstance(row, list) or len(row) != 4:
             raise FileFormatError(path, lineno, f"{key}[{i}] must be [x1,y1,x2,y2]")
         rows.append([_get_number(path, lineno, c, f"{key}[{i}]") for c in row])
-    return rows
+    return np.array(rows, dtype=np.float64)
 
 
-def _get_scores(path, lineno, obj, key, expected_len=None) -> list:
+def _get_scores(path, lineno, obj, key, expected_len) -> list:
     v = obj[key]
+    vals = _typed_scores(v, expected_len)
+    if vals is not None:
+        return vals
     if not isinstance(v, list):
         raise FileFormatError(path, lineno, f"field '{key}' must be a list")
     vals = [_get_number(path, lineno, s, f"{key}[{i}]") for i, s in enumerate(v)]
     for i, s in enumerate(vals):
         if not 0.0 <= s <= 1.0:
             raise FileFormatError(path, lineno, f"{key}[{i}] = {s} outside [0, 1]")
-    if expected_len is not None and len(vals) != expected_len:
+    if len(vals) != expected_len:
         raise FileFormatError(
             path, lineno, f"field '{key}' has {len(vals)} entries, expected {expected_len}"
         )
     return vals
+
+
+def _get_dets(path, lineno, obj, config) -> list:
+    dets = obj["dets"]
+    entries = _typed_dets(dets, _INF if config is None else config.num_classes)
+    if entries is not None:
+        return entries
+    if not isinstance(dets, list):
+        raise FileFormatError(path, lineno, "field 'dets' must be a list")
+    entries = []
+    for i, row in enumerate(dets):
+        if not isinstance(row, list) or len(row) != 6:
+            raise FileFormatError(
+                path, lineno, f"dets[{i}] must be [x1,y1,x2,y2,class,score]"
+            )
+        coords = [_get_number(path, lineno, c, f"dets[{i}]") for c in row[:4]]
+        if isinstance(row[4], bool) or not isinstance(row[4], int) or row[4] < 0:
+            raise FileFormatError(path, lineno, f"dets[{i}] class must be an integer >= 0")
+        _check_class(path, lineno, row[4], config)
+        score = _get_number(path, lineno, row[5], f"dets[{i}] score")
+        if not 0.0 <= score <= 1.0:
+            raise FileFormatError(path, lineno, f"dets[{i}] score {score} outside [0, 1]")
+        box = _wrap(path, lineno, lambda: Box(*coords))
+        entries.append(Detection(box, row[4], score))
+    return entries
+
+
+def _get_matrix(path, lineno, obj, width) -> list:
+    """The 'scores' rows; ``width`` is the file's class count, None before its first row."""
+    rows = obj["scores"]
+    mat = _typed_matrix(rows, width)
+    if mat is not None:
+        return mat
+    if not isinstance(rows, list) or not rows:
+        raise FileFormatError(path, lineno, "field 'scores' must be a non-empty list")
+    mat = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            raise FileFormatError(path, lineno, f"scores[{i}] must be a non-empty list")
+        vals = [_get_number(path, lineno, s, f"scores[{i}]") for s in row]
+        if any(not 0.0 <= s <= 1.0 for s in vals):
+            raise FileFormatError(path, lineno, f"scores[{i}] outside [0, 1]")
+        if width is None:
+            width = len(vals)
+        if len(vals) != width:
+            raise FileFormatError(
+                path, lineno, f"scores[{i}] has {len(vals)} classes, expected {width}"
+            )
+        mat.append(vals)
+    return mat
 
 
 def _check_class(path, lineno, class_id, config):
@@ -446,24 +583,7 @@ def load_detections(path, config: DatasetConfig | None = None) -> list:
         if (video, frame) in seen:
             raise FileFormatError(path, lineno, f"duplicate frame {frame} in video '{video}'")
         seen.add((video, frame))
-        dets = obj["dets"]
-        if not isinstance(dets, list):
-            raise FileFormatError(path, lineno, "field 'dets' must be a list")
-        entries = []
-        for i, row in enumerate(dets):
-            if not isinstance(row, list) or len(row) != 6:
-                raise FileFormatError(
-                    path, lineno, f"dets[{i}] must be [x1,y1,x2,y2,class,score]"
-                )
-            coords = [_get_number(path, lineno, c, f"dets[{i}]") for c in row[:4]]
-            if isinstance(row[4], bool) or not isinstance(row[4], int) or row[4] < 0:
-                raise FileFormatError(path, lineno, f"dets[{i}] class must be an integer >= 0")
-            _check_class(path, lineno, row[4], config)
-            score = _get_number(path, lineno, row[5], f"dets[{i}] score")
-            if not 0.0 <= score <= 1.0:
-                raise FileFormatError(path, lineno, f"dets[{i}] score {score} outside [0, 1]")
-            box = _wrap(path, lineno, lambda: Box(*coords))
-            entries.append(Detection(box, row[4], score))
+        entries = _get_dets(path, lineno, obj, config)
         frames.append(_wrap(path, lineno, lambda: FrameDetections(video, frame, entries)))
     frames.sort(key=lambda fd: (fd.video_id, fd.frame))
     return frames
@@ -578,23 +698,8 @@ def load_track_scores(path) -> list:
         video = _get_str(path, lineno, obj, "video")
         track = _get_str(path, lineno, obj, "track")
         start = _get_int(path, lineno, obj, "start", minimum=0)
-        rows = obj["scores"]
-        if not isinstance(rows, list) or not rows:
-            raise FileFormatError(path, lineno, "field 'scores' must be a non-empty list")
-        mat = []
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or not row:
-                raise FileFormatError(path, lineno, f"scores[{i}] must be a non-empty list")
-            vals = [_get_number(path, lineno, s, f"scores[{i}]") for s in row]
-            if any(not 0.0 <= s <= 1.0 for s in vals):
-                raise FileFormatError(path, lineno, f"scores[{i}] outside [0, 1]")
-            if width is None:
-                width = len(vals)
-            if len(vals) != width:
-                raise FileFormatError(
-                    path, lineno, f"scores[{i}] has {len(vals)} classes, expected {width}"
-                )
-            mat.append(vals)
+        mat = _get_matrix(path, lineno, obj, width)
+        width = len(mat[0])
         if (video, track) in seen:
             raise FileFormatError(path, lineno, f"duplicate track '{track}' in video '{video}'")
         seen.add((video, track))

@@ -6,7 +6,7 @@ in-memory data always produces identical bytes.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring
 
 import numpy as np
 
@@ -19,7 +19,35 @@ def format_float(v: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
+def _flat_numbers(seq):
+    """``seq`` as one JSON array when it holds only Python floats and ints, else None.
+
+    Same text as :func:`format_float` and ``str`` per element; the exact type
+    tests leave bools, numpy scalars and everything else to :func:`_emit`.
+    """
+    parts = []
+    for v in seq:
+        t = type(v)
+        if t is float:
+            parts.append(f"{v:.6f}")
+        elif t is int:
+            parts.append(f"{v}")
+        else:
+            return None
+    text = ",".join(parts)
+    if "-0.000000" in text:  # only ever a whole element: six digits, then ',' or the end
+        text = text.replace("-0.000000", "0.000000")
+    return f"[{text}]"
+
+
 def _emit(obj, out: list) -> None:
+    if isinstance(obj, np.ndarray) and obj.ndim >= 1 and obj.dtype.kind in "fiu":
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        flat = _flat_numbers(obj)
+        if flat is not None:
+            out.append(flat)
+            return
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -29,7 +57,7 @@ def _emit(obj, out: list) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(obj))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim >= 1):
         out.append("[")
         for i, v in enumerate(obj):
@@ -44,7 +72,7 @@ def _emit(obj, out: list) -> None:
                 out.append(",")
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {type(k).__name__}")
-            out.append(json.dumps(k, ensure_ascii=False))
+            out.append(encode_basestring(k))
             out.append(":")
             _emit(v, out)
         out.append("}")

@@ -9,6 +9,7 @@ programming over the two-state chain.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .datamodel import ActionTube
@@ -107,7 +108,8 @@ class _ActivePath:
 def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> list:
     """Link one video's detections of one class into paths.
 
-    Frames are visited in order over the video's full frame span. Active
+    Frames are visited in order over the video's full frame span, skipping
+    stretches without detections while no path is active. Active
     paths, strongest mean score first, each claim the highest-scoring
     unclaimed detection overlapping their last box by at least the gate;
     paths that fail to claim append a placeholder and terminate once their
@@ -135,7 +137,9 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
         if done is not None and len(done) >= params.min_len:
             finished.append((path.created, done))
 
-    for t in range(min(by_frame), max(by_frame) + 1):
+    frames = sorted(by_frame)
+    t = frames[0]
+    while True:
         cands = by_frame.get(t, [])
         claimed = [False] * len(cands)
         for p in sorted(active, key=lambda p: (-p.mean_score, p.created)):
@@ -163,6 +167,15 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
             if not claimed[j]:
                 active.append(_ActivePath(class_id, t, box, score, created))
                 created += 1
+        t += 1
+        if not active:
+            # Nothing to extend: frames up to the next one with detections are no-ops.
+            i = bisect_left(frames, t)
+            if i == len(frames):
+                break
+            t = frames[i]
+        elif t > frames[-1]:
+            break
     for p in active:
         finish(p)
     finished.sort(key=lambda item: item[0])

@@ -6,6 +6,7 @@ and padding arithmetic, no code shared with the package under test.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -414,3 +415,126 @@ def naive_roi_align(grid, box, stride, p, s):
                     acc += naive_bilinear(grid, x, y)
             out[:, i, j] = acc / (s * s)
     return out
+
+
+# ---------------------------------------------------------------------------
+# linking
+
+
+def _gate_iou(a, b):
+    """IoU with the same arithmetic, in the same order, as the linker's gate."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
+    union = (a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter
+    if union <= 0.0:
+        return 0.0
+    return inter / union
+
+
+def per_frame_greedy_link(frame_dets, class_id, iou_gate, max_misses, min_len):
+    """Greedy linking that visits every frame index of the video's span.
+
+    Returns ``(start_frame, boxes, scores)`` per kept path, in creation order.
+    """
+    by_frame = {}
+    for fd in frame_dets:
+        cands = [(d.box, d.score) for d in fd.entries if d.class_id == class_id]
+        by_frame[fd.frame] = sorted(
+            [(box, score, i) for i, (box, score) in enumerate(cands)],
+            key=lambda c: (-c[1], c[2]),
+        )
+    if not by_frame:
+        return []
+    active = []  # [created, start, boxes, scores, score_sum, misses]
+    finished = []
+
+    def finish(p):
+        keep = len(p[2]) - p[5]
+        if keep > 0 and keep >= min_len:
+            finished.append((p[0], (p[1], p[2][:keep], p[3][:keep])))
+
+    created = 0
+    for t in range(min(by_frame), max(by_frame) + 1):
+        cands = by_frame.get(t, [])
+        claimed = [False] * len(cands)
+        for p in sorted(active, key=lambda p: (-p[4] / len(p[3]), p[0])):
+            picked = None
+            for j, (box, score, _) in enumerate(cands):
+                if not claimed[j] and _gate_iou(p[2][-1], box) >= iou_gate:
+                    picked = j
+                    break
+            if picked is None:
+                p[2].append(p[2][-1])
+                p[3].append(0.0)
+                p[5] += 1
+            else:
+                claimed[picked] = True
+                p[2].append(cands[picked][0])
+                p[3].append(cands[picked][1])
+                p[4] += cands[picked][1]
+                p[5] = 0
+        survivors = []
+        for p in active:
+            if p[5] > max_misses:
+                finish(p)
+            else:
+                survivors.append(p)
+        active = survivors
+        for j, (box, score, _) in enumerate(cands):
+            if not claimed[j]:
+                active.append([created, t, [box], [score], score, 0])
+                created += 1
+    for p in active:
+        finish(p)
+    finished.sort(key=lambda item: item[0])
+    return [path for _, path in finished]
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON
+
+
+def _reference_float(v):
+    s = f"{float(v):.6f}"
+    return "0.000000" if s == "-0.000000" else s
+
+
+def _reference_emit(obj, out):
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_reference_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=False))
+    elif isinstance(obj, (list, tuple)) or (isinstance(obj, np.ndarray) and obj.ndim >= 1):
+        out.append("[")
+        for i, v in enumerate(obj):
+            if i:
+                out.append(",")
+            _reference_emit(v, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, (k, v) in enumerate(obj.items()):
+            if i:
+                out.append(",")
+            if not isinstance(k, str):
+                raise TypeError(f"JSON object keys must be strings, got {type(k).__name__}")
+            out.append(json.dumps(k, ensure_ascii=False))
+            out.append(":")
+            _reference_emit(v, out)
+        out.append("}")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps(obj):
+    """Element-by-element canonical JSON: six-decimal floats, no negative zero."""
+    out = []
+    _reference_emit(obj, out)
+    return "".join(out)

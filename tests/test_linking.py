@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tubekit.datamodel import Detection, FrameDetections, TrackScores, Track
 from tubekit.geometry import Box, TubeGeometry
@@ -16,6 +18,7 @@ from oracles import (
     count_changes,
     exhaustive_trim_best,
     labeling_energy,
+    per_frame_greedy_link,
     segments_to_labels,
 )
 
@@ -132,6 +135,36 @@ class TestGreedyLink:
     def test_bad_gate(self):
         with pytest.raises(ValueError):
             LinkParams(iou_gate=1.5)
+
+
+# Sparse layouts: a few frames from a wide span, boxes drawn from a few
+# overlapping lanes so that paths link, bridge gaps and end on misses.
+_lane_box = st.sampled_from([(0, 0, 10, 10), (2, 0, 12, 10), (6, 0, 16, 10), (40, 40, 50, 50)])
+_entry = st.tuples(_lane_box, st.integers(0, 1), st.sampled_from([0.2, 0.5, 0.5, 0.9, 1.0]))
+
+
+class TestSparseFrames:
+    def test_huge_frame_indices(self):
+        frames = frames_from("v", {10**30: [((0, 0, 10, 10), 0, 0.9)],
+                                   10**31 + 1: [((0, 0, 10, 10), 0, 0.8)]})
+        paths = greedy_link(frames, 0, LinkParams(max_misses=3, min_len=1))
+        assert [(p.start_frame, p.scores) for p in paths] == [(10**30, [0.9]),
+                                                               (10**31 + 1, [0.8])]
+
+    @given(
+        st.dictionaries(st.integers(0, 200), st.lists(_entry, max_size=3), max_size=10),
+        st.integers(0, 4),
+        st.integers(1, 3),
+        st.sampled_from([0.1, 0.5]),
+    )
+    def test_matches_per_frame_loop(self, spec, max_misses, min_len, gate):
+        frames = frames_from("v", spec)
+        params = LinkParams(iou_gate=gate, max_misses=max_misses, min_len=min_len)
+        for class_id in (0, 1):
+            got = greedy_link(frames, class_id, params)
+            assert all(p.class_id == class_id for p in got)
+            assert [(p.start_frame, p.boxes, p.scores) for p in got] == \
+                per_frame_greedy_link(frames, class_id, gate, max_misses, min_len)
 
 
 class TestTrimPath:
