@@ -51,12 +51,15 @@ class Conv1dSpec:
 
 def conv1d(x: np.ndarray, spec: Conv1dSpec, weight: np.ndarray,
            bias: np.ndarray | None = None) -> np.ndarray:
-    """Cross-correlate (T, Cin) input with (Cout, Cin, K) weights, zero padded.
+    """Cross-correlate (..., T, Cin) input with (Cout, Cin, K) weights, zero padded.
 
-    Output length is T + 2*padding - dilation*(K-1); float64 throughout.
+    Leading axes are independent sequences. Output length is
+    T + 2*padding - dilation*(K-1); float64 throughout. Every output row is
+    one product of its (Cin*K) taps with the flattened weights, so all
+    sequences go through a single matrix multiply.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.in_channels:
+    if x.ndim < 2 or x.shape[-1] != spec.in_channels:
         raise ValueError(f"input shape {x.shape} does not match Cin={spec.in_channels}")
     w = np.asarray(weight, dtype=np.float64)
     expected = (spec.out_channels, spec.in_channels, spec.kernel_size)
@@ -70,30 +73,34 @@ def conv1d(x: np.ndarray, spec: Conv1dSpec, weight: np.ndarray,
             raise ValueError(f"bias shape {b.shape} != ({spec.out_channels},)")
     elif bias is not None:
         raise ValueError("spec forbids a bias vector")
-    t = x.shape[0]
+    lead, t = x.shape[:-2], x.shape[-2]
     k, d, p = spec.kernel_size, spec.dilation, spec.padding
     t_out = t + 2 * p - d * (k - 1)
     if t_out < 1:
         raise ValueError(f"input too short: T={t} with padding={p}, dilation={d}, K={k}")
-    padded = np.zeros((t + 2 * p, spec.in_channels), dtype=np.float64)
-    padded[p : p + t] = x
-    taps = np.stack([padded[i * d : i * d + t_out] for i in range(k)], axis=1)
-    out = np.einsum("tkc,okc->to", taps, w.transpose(0, 2, 1))
+    if k == 1 and p == 0:
+        taps = x
+    else:
+        padded = np.zeros(lead + (t + 2 * p, spec.in_channels), dtype=np.float64)
+        padded[..., p : p + t, :] = x
+        # (..., T_out, Cin, K): the same Cin-major layout as weight.reshape(Cout, -1)
+        taps = np.stack([padded[..., i * d : i * d + t_out, :] for i in range(k)], axis=-1)
+    out = taps.reshape(-1, spec.in_channels * k) @ w.reshape(spec.out_channels, -1).T
     if spec.has_bias:
-        out = out + b
-    return out
+        out += b
+    return out.reshape(lead + (t_out, spec.out_channels))
 
 
 def temporal_max_pool(x: np.ndarray) -> np.ndarray:
-    """Channel-wise maximum over time: (T, C) -> (1, C)."""
+    """Channel-wise maximum over time: (..., T, C) -> (..., 1, C)."""
     x = np.asarray(x)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError(f"expected a non-empty (T, C) array, got shape {x.shape}")
-    return x.max(axis=0, keepdims=True)
+    if x.ndim < 2 or x.shape[-2] < 1:
+        raise ValueError(f"expected a non-empty (..., T, C) array, got shape {x.shape}")
+    return x.max(axis=-2, keepdims=True)
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0, out=x)
 
 
 def _get_weight(weights: dict, name: str, shape: tuple) -> np.ndarray:
@@ -133,13 +140,16 @@ ASPP_WEIGHT_SHAPES = {
 
 def _check_channels(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != CHANNELS:
-        raise ValueError(f"expected (T, {CHANNELS}) input, got shape {x.shape}")
+    if x.ndim < 2 or x.shape[-1] != CHANNELS:
+        raise ValueError(f"expected (..., T, {CHANNELS}) input, got shape {x.shape}")
     return x
 
 
 def tcn_forward(x: np.ndarray, weights: dict) -> np.ndarray:
-    """Length-preserving dilated conv (K=3, d=2, p=2) then temporal max pool."""
+    """Length-preserving dilated conv (K=3, d=2, p=2) then temporal max pool.
+
+    Maps (..., T, 576) to (..., 1, 576); leading axes are independent tracks.
+    """
     x = _check_channels(x)
     w = _get_weight(weights, "tcn.weight", TCN_WEIGHT_SHAPES["tcn.weight"])
     b = _get_weight(weights, "tcn.bias", TCN_WEIGHT_SHAPES["tcn.bias"])
@@ -151,11 +161,15 @@ def tcn_forward(x: np.ndarray, weights: dict) -> np.ndarray:
 def aspp_forward(x: np.ndarray, weights: dict) -> np.ndarray:
     """Dilated temporal pyramid: reduce, five branches, project, max pool.
 
-    The reduced (T, 256) stream feeds four convolution branches (k=1 and
-    k=3 at dilations 1/3/5, each ReLU-gated and length preserving) plus a
-    global-average branch broadcast back across time. Their concatenation
+    Maps (..., T, 576) to (..., 1, 576); leading axes are independent tracks.
+    The reduced (..., T, 256) stream feeds four convolution branches (k=1
+    and k=3 at dilations 1/3/5, each ReLU-gated and length preserving) plus
+    a global-average branch broadcast back across time. Their concatenation
     is projected bias-free back to 576 channels, ReLU-gated and max pooled,
-    so the output is non-negative.
+    so the output is non-negative. The projection is applied one branch at
+    a time, through that branch's 576-column slice of the projection
+    weight, and the five parts are summed: the concatenation is never
+    built, and the global branch is projected once per track.
     """
     x = _check_channels(x)
 
@@ -164,24 +178,26 @@ def aspp_forward(x: np.ndarray, weights: dict) -> np.ndarray:
 
     reduce_spec = Conv1dSpec(CHANNELS, _REDUCED, 1)
     reduced = conv1d(x, reduce_spec, w("aspp.convs.0.weight"), w("aspp.convs.0.bias"))
+    # Fetched, and so checked, in the order the layers run.
+    convs = [(w(f"aspp.convs.{i}.weight"), w(f"aspp.convs.{i}.bias")) for i in range(1, 6)]
+    project = w("aspp.project.weight")
 
     k1 = Conv1dSpec(_REDUCED, CHANNELS, 1)
-    branches = [
-        _relu(conv1d(reduced, k1, w("aspp.convs.1.weight"), w("aspp.convs.1.bias")))
-    ]
-    for idx, dil in ((2, 1), (3, 3), (4, 5)):
-        spec = Conv1dSpec(_REDUCED, CHANNELS, 3, padding=dil, dilation=dil)
-        branches.append(_relu(conv1d(
-            reduced, spec, w(f"aspp.convs.{idx}.weight"), w(f"aspp.convs.{idx}.bias")
-        )))
-    pooled = reduced.mean(axis=0, keepdims=True)
-    pooled = _relu(conv1d(pooled, k1, w("aspp.convs.5.weight"), w("aspp.convs.5.bias")))
-    branches.append(np.broadcast_to(pooled, (x.shape[0], CHANNELS)))
+    branches = [(reduced, k1)]
+    for dil in (1, 3, 5):
+        branches.append((reduced, Conv1dSpec(_REDUCED, CHANNELS, 3, padding=dil, dilation=dil)))
+    branches.append((reduced.mean(axis=-2, keepdims=True), k1))
 
-    cat = np.concatenate(branches, axis=1)
-    project_spec = Conv1dSpec(_BRANCHES * CHANNELS, CHANNELS, 1, has_bias=False)
-    projected = _relu(conv1d(cat, project_spec, w("aspp.project.weight")))
-    return temporal_max_pool(projected).astype(np.float32)
+    project_spec = Conv1dSpec(CHANNELS, CHANNELS, 1, has_bias=False)
+    projected = None
+    for i, ((inp, spec), (cw, cb)) in enumerate(zip(branches, convs)):
+        branch = _relu(conv1d(inp, spec, cw, cb))
+        part = conv1d(branch, project_spec, project[:, i * CHANNELS : (i + 1) * CHANNELS])
+        if projected is None:
+            projected = part
+        else:
+            projected += part  # the global branch's (..., 1, 576) broadcasts over time
+    return temporal_max_pool(_relu(projected)).astype(np.float32)
 
 
 def random_weights(kind: str, seed: int = 0) -> dict:

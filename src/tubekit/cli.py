@@ -17,7 +17,7 @@ from . import datamodel, filtering, linking, metrics, motion, synth
 from .aggregators import aspp_forward, tcn_forward, temporal_max_pool
 from .datamodel import FileFormatError, builtin_config, load_config
 from .jsonfmt import dumps
-from .parallel import default_jobs, parallel_map
+from .parallel import default_jobs
 from .roialign import FeatureGrid, align_tracks, spatial_avg_pool
 from .tensorfile import TensorFileError, read_tensors, write_tensors
 
@@ -210,20 +210,16 @@ def _cmd_pool_features(args) -> int:
         grid, tracks, output_size=args.output_size, sampling_ratio=args.sampling_ratio
     ))
 
+    # One forward over all tracks: (N, T, C) -> (N, 1, C).
     if args.tfa == "maxpool":
-        def run(feats):
-            return temporal_max_pool(feats)
+        aggregated = temporal_max_pool(pooled)
     else:
         if not args.weights:
             raise ValueError(f"--weights is required for --tfa {args.tfa}")
         weights = read_tensors(args.weights)
         forward = tcn_forward if args.tfa == "tcn" else aspp_forward
-
-        def run(feats):
-            return forward(feats, weights)
-
-    rows = parallel_map(run, [pooled[n] for n in range(pooled.shape[0])], _jobs(args))
-    aggregated = np.concatenate(rows, axis=0).astype(np.float32)
+        aggregated = forward(pooled, weights)
+    aggregated = aggregated[:, 0].astype(np.float32)
     write_tensors({
         "track_features": pooled.astype(np.float32),
         "aggregated": aggregated,

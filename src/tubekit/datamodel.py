@@ -283,6 +283,9 @@ def _reject_constant(token):
     raise ValueError(f"non-finite number '{token}' not allowed")
 
 
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _iter_records(path, schema: str):
     """Yield (lineno, record dict) after checking the header line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -292,8 +295,13 @@ def _iter_records(path, schema: str):
             if not line:
                 continue
             try:
-                obj = json.loads(line, parse_constant=_reject_constant)
+                obj = _DECODER.decode(line)
             except (json.JSONDecodeError, ValueError) as exc:
+                if line.startswith("\ufeff"):
+                    # json.loads' own message, which the decoder does not give
+                    exc = json.JSONDecodeError(
+                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                    )
                 raise FileFormatError(path, lineno, f"invalid JSON: {exc}") from None
             if not isinstance(obj, dict):
                 raise FileFormatError(path, lineno, "record must be a JSON object")

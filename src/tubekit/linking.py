@@ -9,7 +9,6 @@ programming over the two-state chain.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 from .datamodel import ActionTube
@@ -98,6 +97,13 @@ class _ActivePath:
         self.scores.append(0.0)
         self.miss_count += 1
 
+    def miss_run(self, frames):
+        # Kept apart from miss(): list concatenation in the per-frame path
+        # made build-tubes on dense-frames about 10% slower than append.
+        self.boxes += [self.boxes[-1]] * frames
+        self.scores += [0.0] * frames
+        self.miss_count += frames
+
     def finalized(self) -> LinkedPath | None:
         keep = len(self.boxes) - self.miss_count
         if keep <= 0:
@@ -108,14 +114,14 @@ class _ActivePath:
 def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> list:
     """Link one video's detections of one class into paths.
 
-    Frames are visited in order over the video's full frame span, skipping
-    stretches without detections while no path is active. Active
+    Frames are visited in order over the video's full frame span. Active
     paths, strongest mean score first, each claim the highest-scoring
     unclaimed detection overlapping their last box by at least the gate;
     paths that fail to claim append a placeholder and terminate once their
     miss run exceeds ``max_misses`` (the placeholder tail is dropped).
     Leftover detections seed new paths. Paths shorter than ``min_len`` are
-    discarded.
+    discarded. A run of frame indices absent from ``frame_dets`` is taken
+    in one step, in which every active path misses each of its frames.
     """
     params = params or LinkParams()
     by_frame = {}
@@ -137,10 +143,21 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
         if done is not None and len(done) >= params.min_len:
             finished.append((path.created, done))
 
-    frames = sorted(by_frame)
-    t = frames[0]
-    while True:
-        cands = by_frame.get(t, [])
+    prev = None
+    for t in sorted(by_frame):
+        gap = 0 if prev is None else t - prev - 1
+        prev = t
+        if gap and active:
+            survivors = []
+            for p in active:
+                if p.miss_count + gap > params.max_misses:
+                    # Ends inside the stretch; its placeholder tail would be dropped.
+                    finish(p)
+                else:
+                    p.miss_run(gap)
+                    survivors.append(p)
+            active = survivors
+        cands = by_frame[t]
         claimed = [False] * len(cands)
         for p in sorted(active, key=lambda p: (-p.mean_score, p.created)):
             picked = None
@@ -167,15 +184,6 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
             if not claimed[j]:
                 active.append(_ActivePath(class_id, t, box, score, created))
                 created += 1
-        t += 1
-        if not active:
-            # Nothing to extend: frames up to the next one with detections are no-ops.
-            i = bisect_left(frames, t)
-            if i == len(frames):
-                break
-            t = frames[i]
-        elif t > frames[-1]:
-            break
     for p in active:
         finish(p)
     finished.sort(key=lambda item: item[0])

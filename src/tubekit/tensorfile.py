@@ -9,6 +9,7 @@ bit-exact.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -42,49 +43,56 @@ def write_tensors(tensors: dict, path) -> None:
 
 
 def read_tensors(path) -> dict:
-    """Read a .tkt file back into an ordered {name: float32 array} mapping."""
+    """Read a .tkt file back into an ordered {name: float32 array} mapping.
+
+    Each tensor's payload is read straight into its own array; its size is
+    checked against the file's before anything is allocated.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != _MAGIC:
-        raise TensorFileError(f"{path}: not a tensor file (bad magic)")
-    if len(data) < 8:
-        raise TensorFileError(f"{path}: truncated header")
-    (header_len,) = struct.unpack("<I", data[4:8])
-    header_end = 8 + header_len
-    if len(data) < header_end:
-        raise TensorFileError(f"{path}: truncated header")
-    try:
-        entries = json.loads(data[8:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TensorFileError(f"{path}: bad header: {exc}") from None
-    if not isinstance(entries, list):
-        raise TensorFileError(f"{path}: header must be a list")
-    out = {}
-    offset = header_end
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or set(entry) != {"name", "shape", "dtype"}:
-            raise TensorFileError(f"{path}: header entry {i} malformed")
-        name = entry["name"]
-        shape = entry["shape"]
-        if not isinstance(name, str) or not name:
-            raise TensorFileError(f"{path}: header entry {i} has a bad name")
-        if name in out:
-            raise TensorFileError(f"{path}: duplicate tensor name '{name}'")
-        if entry["dtype"] != "f32":
-            raise TensorFileError(f"{path}: tensor '{name}' has unsupported dtype")
-        if not isinstance(shape, list) or any(
-            isinstance(d, bool) or not isinstance(d, int) or d < 0 for d in shape
-        ):
-            raise TensorFileError(f"{path}: tensor '{name}' has a bad shape")
-        count = 1
-        for d in shape:
-            count *= d
-        nbytes = count * 4
-        if offset + nbytes > len(data):
-            raise TensorFileError(f"{path}: truncated payload for tensor '{name}'")
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=offset).reshape(shape)
-        out[name] = arr.copy()
-        offset += nbytes
-    if offset != len(data):
-        raise TensorFileError(f"{path}: {len(data) - offset} trailing payload bytes")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(8)
+        if head[:4] != _MAGIC:
+            raise TensorFileError(f"{path}: not a tensor file (bad magic)")
+        if len(head) < 8:
+            raise TensorFileError(f"{path}: truncated header")
+        (header_len,) = struct.unpack("<I", head[4:8])
+        header_end = 8 + header_len
+        if size < header_end:
+            raise TensorFileError(f"{path}: truncated header")
+        try:
+            entries = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TensorFileError(f"{path}: bad header: {exc}") from None
+        if not isinstance(entries, list):
+            raise TensorFileError(f"{path}: header must be a list")
+        out = {}
+        offset = header_end
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict) or set(entry) != {"name", "shape", "dtype"}:
+                raise TensorFileError(f"{path}: header entry {i} malformed")
+            name = entry["name"]
+            shape = entry["shape"]
+            if not isinstance(name, str) or not name:
+                raise TensorFileError(f"{path}: header entry {i} has a bad name")
+            if name in out:
+                raise TensorFileError(f"{path}: duplicate tensor name '{name}'")
+            if entry["dtype"] != "f32":
+                raise TensorFileError(f"{path}: tensor '{name}' has unsupported dtype")
+            if not isinstance(shape, list) or any(
+                isinstance(d, bool) or not isinstance(d, int) or d < 0 for d in shape
+            ):
+                raise TensorFileError(f"{path}: tensor '{name}' has a bad shape")
+            count = 1
+            for d in shape:
+                count *= d
+            nbytes = count * 4
+            if offset + nbytes > size:
+                raise TensorFileError(f"{path}: truncated payload for tensor '{name}'")
+            arr = np.empty(shape, dtype="<f4")
+            if nbytes and fh.readinto(arr) != nbytes:
+                raise TensorFileError(f"{path}: truncated payload for tensor '{name}'")
+            out[name] = arr
+            offset += nbytes
+    if offset != size:
+        raise TensorFileError(f"{path}: {size - offset} trailing payload bytes")
     return out

@@ -2,9 +2,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from tubekit.aggregators import random_weights
+from tubekit.aggregators import aspp_forward, random_weights, tcn_forward, temporal_max_pool
+from tubekit.datamodel import load_tracks
+from tubekit.roialign import FeatureGrid, align_tracks, spatial_avg_pool
 from tubekit.tensorfile import read_tensors, write_tensors
 
 SPEC = {
@@ -253,6 +256,28 @@ class TestPoolFeaturesCommand:
             "--weights", feature_fixture / "tcn.tkt", "--out", pooled,
         )
         assert read_tensors(pooled)["aggregated"].shape == (2, 576)
+
+    @pytest.mark.parametrize("tfa", ["maxpool", "tcn", "aspp"])
+    def test_aggregated_rows_are_per_track_forwards(self, feature_fixture, tmp_path, tfa):
+        out = feature_fixture / "synth"
+        features = out / "features" / "v000.tkt"
+        weights = random_weights(tfa, seed=4)
+        wpath = tmp_path / "w.tkt"
+        write_tensors(weights, wpath)
+        pooled = tmp_path / "pooled.tkt"
+        run_cli(
+            "pool-features", "--features", features, "--tracks", out / "tracks.ndjson",
+            "--tfa", tfa, *(("--weights", wpath) if weights else ()), "--out", pooled,
+        )
+        store = read_tensors(features)
+        grid = FeatureGrid(store["features"], float(store["spatial_stride"][0]))
+        per_track = spatial_avg_pool(align_tracks(grid, load_tracks(out / "tracks.ndjson")))
+        forward = {"maxpool": lambda x, w: temporal_max_pool(x),
+                   "tcn": tcn_forward, "aspp": aspp_forward}[tfa]
+        expected = np.concatenate([forward(x, weights) for x in per_track]).astype(np.float32)
+        aggregated = read_tensors(pooled)["aggregated"]
+        assert aggregated.shape == expected.shape == (2, 576)
+        np.testing.assert_allclose(aggregated, expected, rtol=0, atol=1e-6)
 
 
 class TestConfigFile:

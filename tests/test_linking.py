@@ -166,6 +166,34 @@ class TestSparseFrames:
             assert [(p.start_frame, p.boxes, p.scores) for p in got] == \
                 per_frame_greedy_link(frames, class_id, gate, max_misses, min_len)
 
+    @given(
+        st.dictionaries(st.integers(0, 3000), st.lists(_entry, max_size=3), max_size=10),
+        st.sampled_from([0, 1, 5, 60, 400, 1500, 2999, 3000, 10**6]),
+        st.integers(1, 3),
+        st.sampled_from([0.1, 0.5]),
+    )
+    def test_long_gaps_large_max_misses(self, spec, max_misses, min_len, gate):
+        # Gaps of up to 3000 frames against miss limits below, at and above
+        # them: a path must end inside a gap exactly when its miss run would
+        # exceed the limit there, and bridge it with placeholders otherwise.
+        frames = frames_from("v", spec)
+        params = LinkParams(iou_gate=gate, max_misses=max_misses, min_len=min_len)
+        for class_id in (0, 1):
+            got = greedy_link(frames, class_id, params)
+            assert [(p.start_frame, p.boxes, p.scores) for p in got] == \
+                per_frame_greedy_link(frames, class_id, gate, max_misses, min_len)
+
+    def test_miss_run_across_gap(self):
+        frames = frames_from("v", {0: [((0, 0, 10, 10), 0, 0.9)],
+                                   1: [((0, 0, 10, 10), 0, 0.8)],
+                                   5: [((0, 0, 10, 10), 0, 0.7)]})
+        # A gap of 3 frames: bridged at max_misses 3, split at 2.
+        (bridged,) = greedy_link(frames, 0, LinkParams(max_misses=3, min_len=1))
+        assert bridged.scores == [0.9, 0.8, 0.0, 0.0, 0.0, 0.7]
+        assert bridged.boxes[2:5] == [Box(0, 0, 10, 10)] * 3
+        split = greedy_link(frames, 0, LinkParams(max_misses=2, min_len=1))
+        assert [(p.start_frame, p.scores) for p in split] == [(0, [0.9, 0.8]), (5, [0.7])]
+
 
 class TestTrimPath:
     def test_all_ones_single_segment(self):

@@ -259,6 +259,24 @@ def test_integer_coordinates_take_the_per_field_path(tmp_path):
         == [float] * 5
 
 
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+@pytest.mark.parametrize("index", [0, 1, -1])
+def test_byte_order_mark_keeps_json_loads_message(tmp_path, name, index):
+    # One reused decoder parses every line; a line starting with a UTF-8 BOM
+    # must still fail with json.loads' own message and its line number.
+    lines = _canonical_lines(tmp_path, name)
+    lineno = index % len(lines) + 1
+    lines[index] = "\ufeff" + lines[index]
+    path = tmp_path / f"bom-{name}.ndjson"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as reference:
+        json.loads(lines[index])
+    with pytest.raises(FileFormatError) as exc:
+        SCHEMAS[name][2](path)
+    assert str(exc.value) == f"{path}:{lineno}: invalid JSON: {reference.value}"
+    assert "Unexpected UTF-8 BOM" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # the trusted Detection/Box constructor
 

@@ -75,3 +75,34 @@ class TestTensorFile:
         path = tmp_path / "w.tkt"
         write_tensors({}, path)
         assert read_tensors(path) == {}
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "w.tkt"
+        write_tensors({"x": np.zeros(2, np.float32)}, path)
+        data = path.read_bytes()
+        for cut in (6, 12):
+            path.write_bytes(data[:cut])
+            with pytest.raises(TensorFileError, match="truncated header"):
+                read_tensors(path)
+
+    def test_huge_declared_shape_is_truncated_not_allocated(self, tmp_path):
+        # The payload size is checked against the file before any array exists.
+        path = tmp_path / "w.tkt"
+        header = b'[{"name":"x","shape":[1099511627776,1048576],"dtype":"f32"}]'
+        import struct
+
+        path.write_bytes(b"TKT1" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        with pytest.raises(TensorFileError, match="truncated payload for tensor 'x'"):
+            read_tensors(path)
+
+    def test_tensors_are_independent_writable_arrays(self, tmp_path):
+        path = tmp_path / "w.tkt"
+        a = np.arange(6, dtype=np.float32).reshape(2, 3)
+        write_tensors({"a": a, "e": np.zeros((0, 4), np.float32), "b": -a[0]}, path)
+        out = read_tensors(path)
+        assert list(out) == ["a", "e", "b"]
+        assert [v.shape for v in out.values()] == [(2, 3), (0, 4), (3,)]
+        assert all(v.dtype == np.float32 and v.flags.writeable and v.flags.owndata
+                   for v in out.values())
+        out["a"][0, 0] = 99.0
+        assert np.array_equal(out["b"], -a[0])
