@@ -1,7 +1,8 @@
 """Command-line frontend: evaluation, labeling, tube building, pooling, fixtures.
 
 All outputs are reproducible: reports carry no timestamps, floats print with
-six decimals, and --jobs only changes scheduling, never content or order.
+six decimals, and all work runs in one thread: --jobs is accepted for
+compatibility and ignored.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from . import datamodel, filtering, linking, metrics, motion, synth
 from .aggregators import aspp_forward, tcn_forward, temporal_max_pool
 from .datamodel import FileFormatError, builtin_config, load_config
 from .jsonfmt import dumps
-from .parallel import default_jobs
 from .roialign import FeatureGrid, align_tracks, spatial_avg_pool
 from .tensorfile import TensorFileError, read_tensors, write_tensors
 
@@ -54,11 +54,7 @@ def _add_dataset_args(p, default=None):
 
 def _add_jobs_arg(p):
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker threads (default: TUBEKIT_JOBS or 1)")
-
-
-def _jobs(args) -> int:
-    return args.jobs if args.jobs and args.jobs > 0 else default_jobs()
+                   help="accepted and ignored; all work runs in one thread")
 
 
 def _print_report(report, config, pr_csv=None):
@@ -74,7 +70,7 @@ def _cmd_eval_frames(args) -> int:
     gts = datamodel.load_ground_truth(args.gt, config)
     dets = datamodel.load_detections(args.det, config)
     labels = motion.label_tubes(gts, config) if args.motion else None
-    report = metrics.evaluate_frames(dets, gts, args.iou, labels, jobs=_jobs(args))
+    report = metrics.evaluate_frames(dets, gts, args.iou, labels)
     _print_report(report, config, args.pr_csv)
     return 0
 
@@ -84,11 +80,10 @@ def _cmd_eval_videos(args) -> int:
     gts = datamodel.load_ground_truth(args.gt, config)
     tubes = datamodel.load_action_tubes(args.tubes, config)
     labels = motion.label_tubes(gts, config) if args.motion else None
-    jobs = _jobs(args)
     if args.sweep:
         thresholds = _parse_steps(args.sweep)
         reports, mean = metrics.threshold_sweep(
-            lambda t: metrics.evaluate_videos(tubes, gts, t, labels, jobs=jobs),
+            lambda t: metrics.evaluate_videos(tubes, gts, t, labels),
             thresholds,
         )
         rows = []
@@ -107,7 +102,7 @@ def _cmd_eval_videos(args) -> int:
             "mean_map": mean,
         }) + "\n")
         return 0
-    report = metrics.evaluate_videos(tubes, gts, args.st_iou, labels, jobs=jobs)
+    report = metrics.evaluate_videos(tubes, gts, args.st_iou, labels)
     _print_report(report, config, args.pr_csv)
     return 0
 
@@ -149,7 +144,7 @@ def _cmd_build_tubes(args) -> int:
     dets = datamodel.load_detections(args.det, config)
     link = linking.LinkParams(args.iou_gate, args.max_misses, args.min_len)
     trim = linking.TrimParams(args.alpha, args.min_seg)
-    tubes = linking.build_tubes(dets, link, trim, jobs=_jobs(args))
+    tubes = linking.build_tubes(dets, link, trim)
     datamodel.save_action_tubes(tubes, args.out)
     sys.stdout.write(f"wrote {len(tubes)} tubes\n")
     return 0
@@ -159,7 +154,7 @@ def _cmd_trim_tracks(args) -> int:
     tracks = datamodel.load_tracks(args.tracks)
     scores = {ts.key: ts for ts in datamodel.load_track_scores(args.scores)}
     trim = linking.TrimParams(args.alpha, args.min_seg)
-    tubes = linking.tracks_to_tubes(tracks, scores, trim, jobs=_jobs(args))
+    tubes = linking.tracks_to_tubes(tracks, scores, trim)
     datamodel.save_action_tubes(tubes, args.out)
     sys.stdout.write(f"wrote {len(tubes)} tubes\n")
     return 0

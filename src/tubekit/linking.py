@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .datamodel import ActionTube
 from .geometry import TubeGeometry, iou2d
-from .parallel import parallel_map
 
 __all__ = [
     "LinkParams",
@@ -242,28 +241,25 @@ def trim_path(frame_scores, params: TrimParams | None = None) -> list:
 
 def build_tubes(detections, link_params: LinkParams | None = None,
                 trim_params: TrimParams | None = None, jobs: int = 1) -> list:
-    """Link then trim one or more videos' detections into action tubes."""
+    """Link then trim one or more videos' detections into action tubes.
+
+    ``jobs`` is accepted and ignored: all work runs in one thread.
+    """
     link_params = link_params or LinkParams()
     trim_params = trim_params or TrimParams()
     by_video = {}
     for fd in detections:
         by_video.setdefault(fd.video_id, []).append(fd)
 
-    def run_video(video_id):
+    out = []
+    for video_id in sorted(by_video):
         frames = by_video[video_id]
         classes = sorted({d.class_id for fd in frames for d in fd.entries})
-        tubes = []
         for c in classes:
             for path in greedy_link(frames, c, link_params):
                 for s, e in trim_path(path.scores, trim_params):
                     geom = TubeGeometry(path.start_frame + s, path.boxes[s : e + 1])
-                    tubes.append(ActionTube(video_id, c, geom, path.scores[s : e + 1]))
-        return tubes
-
-    videos = sorted(by_video)
-    out = []
-    for tubes in parallel_map(run_video, videos, jobs):
-        out.extend(tubes)
+                    out.append(ActionTube(video_id, c, geom, path.scores[s : e + 1]))
     out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
     return out
 
@@ -274,12 +270,14 @@ def tracks_to_tubes(tracks, track_scores, trim_params: TrimParams | None = None,
 
     ``track_scores`` maps (video, track) to a TrackScores whose matrix rows
     align 1:1 with the track's frames; every track must be covered.
+    ``jobs`` is accepted and ignored: all work runs in one thread.
     """
     trim_params = trim_params or TrimParams()
     if not isinstance(track_scores, dict):
         track_scores = {ts.key: ts for ts in track_scores}
 
-    def run_track(tr):
+    out = []
+    for tr in tracks:
         ts = track_scores.get(tr.key)
         if ts is None:
             raise ValueError(f"missing score vectors for track {tr.key}")
@@ -289,17 +287,11 @@ def tracks_to_tubes(tracks, track_scores, trim_params: TrimParams | None = None,
                 f"[{ts.start_frame}, {ts.start_frame + len(ts.scores) - 1}], track covers "
                 f"[{tr.geometry.start_frame}, {tr.geometry.end_frame}]"
             )
-        tubes = []
         for c in range(ts.scores.shape[1]):
             column = [float(v) for v in ts.scores[:, c]]
             for s, e in trim_path(column, trim_params):
-                tubes.append(ActionTube(
+                out.append(ActionTube(
                     tr.video_id, c, tr.geometry.slice(s, e), column[s : e + 1]
                 ))
-        return tubes
-
-    out = []
-    for tubes in parallel_map(run_track, list(tracks), jobs):
-        out.extend(tubes)
     out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
     return out

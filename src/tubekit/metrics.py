@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .geometry import iou2d, st_iou
 from .motion import MotionCategory
-from .parallel import parallel_map
 
 __all__ = [
     "PRCurve",
@@ -189,23 +188,20 @@ def _motion_breakdown(class_matches, gts, motion_labels):
     return per_motion
 
 
-def _evaluate(dets, gts, thresh, overlap, level, motion_labels=None, jobs=1) -> EvalReport:
+def _evaluate(dets, gts, thresh, overlap, level, motion_labels=None) -> EvalReport:
     if not 0.0 <= thresh <= 1.0:
         raise ValueError(f"threshold {thresh} outside [0, 1]")
     all_classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
-    npos = {c: 0 for c in all_classes}
+    class_dets = {c: [] for c in all_classes}
+    class_gts = {c: [] for c in all_classes}
+    for d in dets:
+        class_dets[d.class_id].append(d)
     for g in gts:
-        npos[g.class_id] += 1
-
-    def run(c):
-        return _match_class(
-            [d for d in dets if d.class_id == c],
-            [g for g in gts if g.class_id == c],
-            overlap,
-            thresh,
-        )
-
-    class_matches = dict(zip(all_classes, parallel_map(run, all_classes, jobs)))
+        class_gts[g.class_id].append(g)
+    npos = {c: len(class_gts[c]) for c in all_classes}
+    class_matches = {
+        c: _match_class(class_dets[c], class_gts[c], overlap, thresh) for c in all_classes
+    }
 
     per_class_ap = {}
     pr_curves = {}
@@ -238,7 +234,8 @@ def evaluate_frames(detections, gts, iou_thresh, motion_labels=None, jobs=1) -> 
 
     Detections are pooled across all frames and videos into one ranking per
     class. With motion_labels, every ground-truth box inherits its tube's
-    category and per-category metrics are added.
+    category and per-category metrics are added. ``jobs`` is accepted and
+    ignored: all work runs in one thread.
     """
     det_units = []
     gidx = 0
@@ -252,17 +249,20 @@ def evaluate_frames(detections, gts, iou_thresh, motion_labels=None, jobs=1) -> 
         for i in range(len(geo)):
             frame = geo.start_frame + i
             gt_units.append(_Gt(gt.class_id, (gt.video_id, frame), geo.box_at(frame), gt.key))
-    return _evaluate(det_units, gt_units, iou_thresh, iou2d, "frame", motion_labels, jobs)
+    return _evaluate(det_units, gt_units, iou_thresh, iou2d, "frame", motion_labels)
 
 
 def evaluate_videos(tubes, gts, st_iou_thresh, motion_labels=None, jobs=1) -> EvalReport:
-    """Video-level AP: tubes match same-video, same-class ground-truth tubes."""
+    """Video-level AP: tubes match same-video, same-class ground-truth tubes.
+
+    ``jobs`` is accepted and ignored: all work runs in one thread.
+    """
     det_units = [
         _Det(t.class_id, (t.video_id,), t.geometry, t.tube_score, i)
         for i, t in enumerate(tubes)
     ]
     gt_units = [_Gt(g.class_id, (g.video_id,), g.geometry, g.key) for g in gts]
-    return _evaluate(det_units, gt_units, st_iou_thresh, st_iou, "video", motion_labels, jobs)
+    return _evaluate(det_units, gt_units, st_iou_thresh, st_iou, "video", motion_labels)
 
 
 def threshold_sweep(eval_fn, thresholds) -> tuple:

@@ -30,7 +30,9 @@ def write_tensors(tensors: dict, path) -> None:
     for name, arr in tensors.items():
         if not isinstance(name, str) or not name:
             raise TensorFileError("tensor names must be non-empty strings")
-        a = np.ascontiguousarray(np.asarray(arr), dtype="<f4")
+        # asarray keeps a 0-d shape; ascontiguousarray would make it (1,).
+        # tobytes() emits C order whatever the layout.
+        a = np.asarray(arr, dtype="<f4")
         entries.append({"name": name, "shape": list(a.shape), "dtype": "f32"})
         payload.append(a.tobytes())
     header = json.dumps(entries, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
@@ -88,7 +90,11 @@ def read_tensors(path) -> dict:
             nbytes = count * 4
             if offset + nbytes > size:
                 raise TensorFileError(f"{path}: truncated payload for tensor '{name}'")
-            arr = np.empty(shape, dtype="<f4")
+            try:
+                arr = np.empty(shape, dtype="<f4")
+            except ValueError:
+                # A zero-size shape with a huge or >64-dim extent passes the size check.
+                raise TensorFileError(f"{path}: tensor '{name}' has a bad shape") from None
             if nbytes and fh.readinto(arr) != nbytes:
                 raise TensorFileError(f"{path}: truncated payload for tensor '{name}'")
             out[name] = arr

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -20,10 +21,10 @@ SPEC = {
 }
 
 
-def run_cli(*args, check=True):
+def run_cli(*args, check=True, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "tubekit", *[str(a) for a in args]],
-        capture_output=True,
+        capture_output=True, env=None if env is None else dict(os.environ, **env),
     )
     if check and proc.returncode != 0:
         raise AssertionError(
@@ -379,6 +380,19 @@ class TestMalformedInputErrors:
                        "--tfa", "maxpool", "--out", tmp_path / "x.tkt", check=False)
         self.assert_error(proc, "'spatial_stride' must hold one element")
 
+    def test_pool_features_unallocatable_shape(self, feature_fixture, tmp_path):
+        import struct
+
+        out = feature_fixture / "synth"
+        bad = tmp_path / "bad.tkt"
+        header = (b'[{"name":"features","shape":[0,1000000000000000000000000000000],'
+                  b'"dtype":"f32"},{"name":"spatial_stride","shape":[1],"dtype":"f32"}]')
+        bad.write_bytes(b"TKT1" + struct.pack("<I", len(header)) + header + b"\x00" * 4)
+        proc = run_cli("pool-features", "--features", bad, "--tracks", out / "tracks.ndjson",
+                       "--tfa", "maxpool", "--out", tmp_path / "x.tkt", check=False)
+        self.assert_error(proc, f"{bad}: tensor 'features' has a bad shape")
+        assert len(proc.stderr.decode().splitlines()) == 1
+
 
 class TestSynthSpecErrors:
     @pytest.mark.parametrize("text, message", [
@@ -416,3 +430,53 @@ class TestDeterminism:
         run_cli("build-tubes", "--det", out / "detections.ndjson", "--out", t8,
                 "--jobs", "8")
         assert t1.read_bytes() == t8.read_bytes()
+
+
+class TestIgnoredJobs:
+    """--jobs and TUBEKIT_JOBS are accepted and change nothing, whatever their value."""
+
+    @pytest.fixture(scope="class")
+    def commands(self, fixture_dir):
+        from tubekit.datamodel import TrackScores, save_track_scores
+
+        out = fixture_dir / "synth"
+        work = fixture_dir / "jobs"
+        work.mkdir()
+        scores = work / "scores.ndjson"
+        save_track_scores([
+            TrackScores(tr.video_id, tr.track_id, tr.geometry.start_frame,
+                        np.linspace(0.05, 0.95, len(tr.geometry) * 2).reshape(-1, 2))
+            for tr in load_tracks(out / "tracks.ndjson")
+        ], scores)
+        tubes = work / "tubes.ndjson"
+        run_cli("build-tubes", "--det", out / "detections.ndjson", "--out", tubes)
+        return {
+            "build-tubes": (("build-tubes", "--det", out / "detections.ndjson",
+                             "--out", work / "bt.ndjson"), work / "bt.ndjson"),
+            "trim-tracks": (("trim-tracks", "--tracks", out / "tracks.ndjson",
+                             "--scores", scores, "--out", work / "tt.ndjson"),
+                            work / "tt.ndjson"),
+            "eval-frames": (("eval-frames", "--gt", out / "gt.ndjson",
+                             "--det", out / "detections.ndjson"), None),
+            "eval-videos-sweep": (("eval-videos", "--gt", out / "gt.ndjson",
+                                   "--tubes", tubes, "--sweep", "0.1:0.9:0.2"), None),
+        }
+
+    @staticmethod
+    def run(args, out_file, env=None):
+        stdout = run_cli(*args, env=env).stdout
+        return stdout, out_file.read_bytes() if out_file else None
+
+    @pytest.mark.parametrize("name", ["build-tubes", "trim-tracks", "eval-frames",
+                                      "eval-videos-sweep"])
+    def test_values_change_nothing(self, commands, name):
+        args, out_file = commands[name]
+        base = self.run(args, out_file)
+        assert self.run((*args, "--jobs", "0"), out_file) == base
+        assert self.run((*args, "--jobs", "-3"), out_file) == base
+        assert self.run(args, out_file, env={"TUBEKIT_JOBS": "abc"}) == base
+
+    def test_non_integer_exits_2(self, commands):
+        args, _ = commands["eval-frames"]
+        proc = run_cli(*args, "--jobs", "x", check=False)
+        assert proc.returncode == 2

@@ -106,3 +106,30 @@ class TestTensorFile:
                    for v in out.values())
         out["a"][0, 0] = 99.0
         assert np.array_equal(out["b"], -a[0])
+
+    def test_zero_d_round_trip(self, tmp_path):
+        path = tmp_path / "w.tkt"
+        write_tensors({"s": np.float32(7.0), "v": np.zeros(3, np.float32)}, path)
+        assert b'"shape":[]' in path.read_bytes()
+        out = read_tensors(path)
+        assert out["s"].shape == ()
+        assert out["s"].view(np.uint32) == np.float32(7.0).view(np.uint32)
+        first = path.read_bytes()
+        write_tensors(out, path)
+        assert path.read_bytes() == first
+
+    @pytest.mark.parametrize("shape, payload", [
+        ([0, 10**30], b""),
+        ([0] * 65, b""),
+        ([1] * 65, b"\x00" * 4),
+    ], ids=["huge-zero-size", "65-dims-zero-size", "65-dims"])
+    def test_unallocatable_shape_names_file(self, tmp_path, shape, payload):
+        import json
+        import struct
+
+        path = tmp_path / "w.tkt"
+        header = json.dumps([{"name": "x", "shape": shape, "dtype": "f32"}]).encode()
+        path.write_bytes(b"TKT1" + struct.pack("<I", len(header)) + header + payload)
+        with pytest.raises(TensorFileError) as info:
+            read_tensors(path)
+        assert str(info.value) == f"{path}: tensor 'x' has a bad shape"
