@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -30,6 +31,8 @@ def _parse_steps(text: str) -> list:
     if len(parts) != 3:
         raise ValueError(f"expected start:stop:step, got '{text}'")
     a, b, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (a, b, step)):
+        raise ValueError(f"bad range '{text}': start, stop and step must be finite")
     if step <= 0 or b < a:
         raise ValueError(f"bad range '{text}'")
     n = int(round((b - a) / step))
@@ -79,11 +82,10 @@ def _cmd_eval_videos(args) -> int:
     config = _resolve_config(args, required=args.motion)
     gts = datamodel.load_ground_truth(args.gt, config)
     tubes = datamodel.load_action_tubes(args.tubes, config)
-    labels = motion.label_tubes(gts, config) if args.motion else None
     if args.sweep:
         thresholds = _parse_steps(args.sweep)
         reports, mean = metrics.threshold_sweep(
-            lambda t: metrics.evaluate_videos(tubes, gts, t, labels),
+            lambda t: metrics.evaluate_videos(tubes, gts, t),
             thresholds,
         )
         rows = []
@@ -102,6 +104,7 @@ def _cmd_eval_videos(args) -> int:
             "mean_map": mean,
         }) + "\n")
         return 0
+    labels = motion.label_tubes(gts, config) if args.motion else None
     report = metrics.evaluate_videos(tubes, gts, args.st_iou, labels)
     _print_report(report, config, args.pr_csv)
     return 0
@@ -275,8 +278,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--st-iou", type=float, default=0.5)
     p.add_argument("--sweep", default=None, help="threshold range start:stop:step")
-    p.add_argument("--motion", action="store_true")
-    p.add_argument("--pr-csv", default=None, help="PR-curve CSV (single-threshold runs)")
+    p.add_argument("--motion", action="store_true",
+                   help="add per-motion-category metrics (not with --sweep)")
+    p.add_argument("--pr-csv", default=None, help="also write PR curves as CSV (not with --sweep)")
     _add_jobs_arg(p)
     p.set_defaults(func=_cmd_eval_videos)
 
@@ -348,7 +352,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "sweep", None):
+        # A sweep prints one mAP per threshold; it has no single report to
+        # write PR curves or a motion breakdown for.
+        for flag, given in (("--pr-csv", args.pr_csv), ("--motion", args.motion)):
+            if given:
+                parser.error(f"eval-videos: {flag} cannot be combined with --sweep")
     try:
         return args.func(args)
     except (FileFormatError, TensorFileError, ValueError, OSError) as exc:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .geometry import iou2d, st_iou
+from .jsonfmt import format_float
 from .motion import MotionCategory
 
 __all__ = [
@@ -56,6 +57,17 @@ class EvalReport:
     per_motion: dict | None = None
 
 
+def _ranked_ap(hits, npos: int) -> float:
+    """AP of hit flags already in rank order: the sum of tp / rank at each hit, over npos."""
+    tp = 0
+    total = 0.0
+    for rank, hit in enumerate(hits, start=1):
+        if hit:
+            tp += 1
+            total += tp / rank
+    return total / npos
+
+
 def average_precision(matches, num_positives: int) -> float | None:
     """AP from (score, is_tp) pairs.
 
@@ -66,123 +78,99 @@ def average_precision(matches, num_positives: int) -> float | None:
         raise ValueError("num_positives must be >= 0")
     if num_positives == 0:
         return None
-    pairs = list(matches)
-    order = sorted(range(len(pairs)), key=lambda i: -pairs[i][0])
-    tp = 0
-    total = 0.0
-    for rank, i in enumerate(order, start=1):
-        if pairs[i][1]:
-            tp += 1
-            total += tp / rank
-    return total / num_positives
+    ranked = sorted(matches, key=lambda pair: -pair[0])
+    return _ranked_ap([pair[1] for pair in ranked], num_positives)
+
+
+def _mean(values) -> float | None:
+    return sum(values) / len(values) if values else None
 
 
 # ---------------------------------------------------------------------------
 # shared evaluation engine
 
 
-@dataclass(frozen=True)
-class _Det:
-    class_id: int
-    group: tuple
-    payload: object
-    score: float
-    gidx: int
+def _match_class(dets, det_ids, gts, gt_ids, overlap, thresh):
+    """Greedy matching for one class's det and GT indices.
 
-
-@dataclass(frozen=True)
-class _Gt:
-    class_id: int
-    group: tuple
-    payload: object
-    tube_key: tuple
-
-
-def _match_class(dets, gts, overlap, thresh):
-    """Greedy matching for one class; returns [(det, matched _Gt or None)] in rank order."""
-    ranked = sorted(dets, key=lambda d: (-d.score, d.gidx))
+    Units are (class, group, payload, score) and (class, group, payload,
+    tube_key) tuples. Returns [(score, det index, matched GT index or None)]
+    ranked by descending score, then ascending det index.
+    """
     by_group = {}
-    for g in gts:
-        by_group.setdefault(g.group, []).append([g, False])
+    for j in gt_ids:
+        by_group.setdefault(gts[j][1], []).append(j)
+    taken = set()
     out = []
-    for d in ranked:
+    for i in sorted(det_ids, key=lambda i: (-dets[i][3], i)):
+        _, group, payload, score = dets[i]
         best = None
         best_overlap = thresh
-        for slot in by_group.get(d.group, ()):
-            if slot[1]:
+        for j in by_group.get(group, ()):
+            if j in taken:
                 continue
-            o = overlap(d.payload, slot[0].payload)
+            o = overlap(payload, gts[j][2])
             if o > best_overlap:
                 best_overlap = o
-                best = slot
+                best = j
         if best is not None:
-            best[1] = True
-            out.append((d, best[0]))
-        else:
-            out.append((d, None))
+            taken.add(best)
+        out.append((score, i, best))
     return out
 
 
-def _pr_curve(match_list, npos) -> PRCurve:
+def _pr_curve(hits, npos) -> PRCurve:
     recalls, precisions = [], []
     tp = 0
-    for rank, (_, matched) in enumerate(match_list, start=1):
-        if matched is not None:
+    for rank, hit in enumerate(hits, start=1):
+        if hit:
             tp += 1
         recalls.append(tp / npos if npos else 0.0)
         precisions.append(tp / rank)
     return PRCurve(recalls, precisions, npos)
 
 
+def _category_hits(matches, gt_categories, cat) -> list:
+    """Hit flags for one motion category.
+
+    A detection matched to a ground truth of another category is dropped; an
+    unmatched one stays a false positive.
+    """
+    return [gt is not None for _, _, gt in matches if gt is None or gt_categories[gt] == cat]
+
+
 def _motion_breakdown(class_matches, gts, motion_labels):
-    categories = {}
-    for g in gts:
-        label = motion_labels.get(g.tube_key)
+    gt_categories = []
+    for _, _, _, tube_key in gts:
+        label = motion_labels.get(tube_key)
         if label is None:
-            raise ValueError(f"no motion label for tube {g.tube_key}")
-        categories[g.tube_key] = label.category
+            raise ValueError(f"no motion label for tube {tube_key}")
+        gt_categories.append(label.category)
+    pooled = sorted(
+        (m for matches in class_matches.values() for m in matches),
+        key=lambda m: (-m[0], m[1]),
+    )
 
     per_motion = {}
     for cat in MotionCategory:
         npos_by_class = {}
-        for g in gts:
-            if categories[g.tube_key] == cat:
-                npos_by_class[g.class_id] = npos_by_class.get(g.class_id, 0) + 1
+        for g, gt_cat in zip(gts, gt_categories):
+            if gt_cat == cat:
+                npos_by_class[g[0]] = npos_by_class.get(g[0], 0) + 1
         total_npos = sum(npos_by_class.values())
-
-        # Detections matched to a ground truth of another category are
-        # dropped from the ranking; everything unmatched stays a FP.
-        def reduce_matches(matches):
-            kept = []
-            for det, matched in matches:
-                if matched is None:
-                    kept.append((det, None))
-                elif categories[matched.tube_key] == cat:
-                    kept.append((det, matched))
-            return kept
-
         per_class_ap = {}
-        pooled = []
         for c, matches in class_matches.items():
-            kept = reduce_matches(matches)
-            pooled.extend(kept)
-            ap = average_precision(
-                [(d.score, m is not None) for d, m in kept], npos_by_class.get(c, 0)
-            )
-            if ap is not None:
-                per_class_ap[c] = ap
-        pooled.sort(key=lambda m: (-m[0].score, m[0].gidx))
-        pooled_ap = average_precision(
-            [(d.score, m is not None) for d, m in pooled], total_npos
-        )
-        mean_ap = (
-            sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else None
-        )
+            npos = npos_by_class.get(c, 0)
+            if npos:
+                per_class_ap[c] = _ranked_ap(_category_hits(matches, gt_categories, cat), npos)
+        pooled_ap = None
+        if total_npos:
+            pooled_ap = _ranked_ap(_category_hits(pooled, gt_categories, cat), total_npos)
         per_motion[cat] = MotionMetrics(
             category=cat,
             num_positives=total_npos,
             pooled_ap=pooled_ap,
-            mean_ap=mean_ap,
+            mean_ap=_mean(per_class_ap.values()),
             per_class_ap=per_class_ap,
         )
     return per_motion
@@ -191,28 +179,26 @@ def _motion_breakdown(class_matches, gts, motion_labels):
 def _evaluate(dets, gts, thresh, overlap, level, motion_labels=None) -> EvalReport:
     if not 0.0 <= thresh <= 1.0:
         raise ValueError(f"threshold {thresh} outside [0, 1]")
-    all_classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
+    all_classes = sorted({d[0] for d in dets} | {g[0] for g in gts})
     class_dets = {c: [] for c in all_classes}
     class_gts = {c: [] for c in all_classes}
-    for d in dets:
-        class_dets[d.class_id].append(d)
-    for g in gts:
-        class_gts[g.class_id].append(g)
+    for i, d in enumerate(dets):
+        class_dets[d[0]].append(i)
+    for j, g in enumerate(gts):
+        class_gts[g[0]].append(j)
     npos = {c: len(class_gts[c]) for c in all_classes}
     class_matches = {
-        c: _match_class(class_dets[c], class_gts[c], overlap, thresh) for c in all_classes
+        c: _match_class(dets, class_dets[c], gts, class_gts[c], overlap, thresh)
+        for c in all_classes
     }
 
     per_class_ap = {}
     pr_curves = {}
     for c in all_classes:
-        ap = average_precision(
-            [(d.score, m is not None) for d, m in class_matches[c]], npos[c]
-        )
-        pr_curves[c] = _pr_curve(class_matches[c], npos[c])
-        if ap is not None:
-            per_class_ap[c] = ap
-    mean_ap = sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else None
+        hits = [gt is not None for _, _, gt in class_matches[c]]
+        pr_curves[c] = _pr_curve(hits, npos[c])
+        if npos[c]:
+            per_class_ap[c] = _ranked_ap(hits, npos[c])
 
     per_motion = None
     if motion_labels is not None:
@@ -223,7 +209,7 @@ def _evaluate(dets, gts, thresh, overlap, level, motion_labels=None) -> EvalRepo
         threshold=thresh,
         per_class_ap=per_class_ap,
         num_positives=npos,
-        mean_ap=mean_ap,
+        mean_ap=_mean(per_class_ap.values()),
         pr_curves=pr_curves,
         per_motion=per_motion,
     )
@@ -237,18 +223,17 @@ def evaluate_frames(detections, gts, iou_thresh, motion_labels=None, jobs=1) -> 
     category and per-category metrics are added. ``jobs`` is accepted and
     ignored: all work runs in one thread.
     """
-    det_units = []
-    gidx = 0
-    for fd in detections:
-        for d in fd.entries:
-            det_units.append(_Det(d.class_id, (fd.video_id, fd.frame), d.box, d.score, gidx))
-            gidx += 1
+    det_units = [
+        (d.class_id, (fd.video_id, fd.frame), d.box, d.score)
+        for fd in detections
+        for d in fd.entries
+    ]
     gt_units = []
     for gt in gts:
         geo = gt.geometry
         for i in range(len(geo)):
             frame = geo.start_frame + i
-            gt_units.append(_Gt(gt.class_id, (gt.video_id, frame), geo.box_at(frame), gt.key))
+            gt_units.append((gt.class_id, (gt.video_id, frame), geo.box_at(frame), gt.key))
     return _evaluate(det_units, gt_units, iou_thresh, iou2d, "frame", motion_labels)
 
 
@@ -257,11 +242,8 @@ def evaluate_videos(tubes, gts, st_iou_thresh, motion_labels=None, jobs=1) -> Ev
 
     ``jobs`` is accepted and ignored: all work runs in one thread.
     """
-    det_units = [
-        _Det(t.class_id, (t.video_id,), t.geometry, t.tube_score, i)
-        for i, t in enumerate(tubes)
-    ]
-    gt_units = [_Gt(g.class_id, (g.video_id,), g.geometry, g.key) for g in gts]
+    det_units = [(t.class_id, (t.video_id,), t.geometry, t.tube_score) for t in tubes]
+    gt_units = [(g.class_id, (g.video_id,), g.geometry, g.key) for g in gts]
     return _evaluate(det_units, gt_units, st_iou_thresh, st_iou, "video", motion_labels)
 
 
@@ -357,8 +339,6 @@ def render_table(report: EvalReport, config=None) -> str:
 
 
 def pr_curves_csv(report: EvalReport, config=None) -> str:
-    from .jsonfmt import format_float
-
     lines = ["class,name,rank,recall,precision"]
     for c in sorted(report.pr_curves):
         curve = report.pr_curves[c]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .datamodel import DatasetConfig, FileFormatError
 from .geometry import TubeGeometry, box_iou
-from .jsonfmt import dumps
+from .jsonfmt import dumps, format_float
 
 __all__ = [
     "MotionCategory",
@@ -146,8 +146,6 @@ def motion_cdf(gts, pair_offset_frames: int, bin_edges) -> tuple:
 
 
 def write_cdf_csv(points, excluded: int, path) -> None:
-    from .jsonfmt import format_float
-
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("edge,cumulative_fraction,excluded_tubes\n")
         for edge, frac in points:

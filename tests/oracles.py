@@ -1,13 +1,17 @@
 """Independent reference implementations used to cross-check the library.
 
 Everything here is written naively on purpose: explicit loops, its own IoU
-and padding arithmetic, no code shared with the package under test.
+and padding arithmetic, no code shared with the package under test. The
+exception is ``reference_evaluate``, a frozen copy of an earlier evaluation
+engine that borrows the package's overlap functions and result types so its
+reports can be compared with ``==``.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,6 +264,212 @@ def brute_motion_eval(level, dets_or_tubes, gts, thresh, labels):
         mean_ap = sum(per_class.values()) / len(per_class) if per_class else None
         out[cat] = (total, pooled_ap, mean_ap)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dataclass evaluation engine, kept as the reference for exact equality
+#
+# This is the engine tubekit shipped before matching returned one ranked
+# (score, det index, GT index) list per class: a frozen dataclass per unit,
+# AP through an index-sorting average_precision, and a motion breakdown that
+# re-ranks every category. Unlike the brute-force evaluators above it shares
+# the overlap functions and result types with the package, because it checks
+# ranking and summation to the bit, not geometry.
+
+
+def reference_average_precision(matches, num_positives):
+    if num_positives < 0:
+        raise ValueError("num_positives must be >= 0")
+    if num_positives == 0:
+        return None
+    pairs = list(matches)
+    order = sorted(range(len(pairs)), key=lambda i: -pairs[i][0])
+    tp = 0
+    total = 0.0
+    for rank, i in enumerate(order, start=1):
+        if pairs[i][1]:
+            tp += 1
+            total += tp / rank
+    return total / num_positives
+
+
+@dataclass(frozen=True)
+class _Det:
+    class_id: int
+    group: tuple
+    payload: object
+    score: float
+    gidx: int
+
+
+@dataclass(frozen=True)
+class _Gt:
+    class_id: int
+    group: tuple
+    payload: object
+    tube_key: tuple
+
+
+def _reference_match_class(dets, gts, overlap, thresh):
+    ranked = sorted(dets, key=lambda d: (-d.score, d.gidx))
+    by_group = {}
+    for g in gts:
+        by_group.setdefault(g.group, []).append([g, False])
+    out = []
+    for d in ranked:
+        best = None
+        best_overlap = thresh
+        for slot in by_group.get(d.group, ()):
+            if slot[1]:
+                continue
+            o = overlap(d.payload, slot[0].payload)
+            if o > best_overlap:
+                best_overlap = o
+                best = slot
+        if best is not None:
+            best[1] = True
+            out.append((d, best[0]))
+        else:
+            out.append((d, None))
+    return out
+
+
+def _reference_pr_curve(match_list, npos):
+    from tubekit.metrics import PRCurve
+
+    recalls, precisions = [], []
+    tp = 0
+    for rank, (_, matched) in enumerate(match_list, start=1):
+        if matched is not None:
+            tp += 1
+        recalls.append(tp / npos if npos else 0.0)
+        precisions.append(tp / rank)
+    return PRCurve(recalls, precisions, npos)
+
+
+def _reference_motion_breakdown(class_matches, gts, motion_labels):
+    from tubekit.metrics import MotionMetrics
+    from tubekit.motion import MotionCategory
+
+    categories = {}
+    for g in gts:
+        label = motion_labels.get(g.tube_key)
+        if label is None:
+            raise ValueError(f"no motion label for tube {g.tube_key}")
+        categories[g.tube_key] = label.category
+
+    per_motion = {}
+    for cat in MotionCategory:
+        npos_by_class = {}
+        for g in gts:
+            if categories[g.tube_key] == cat:
+                npos_by_class[g.class_id] = npos_by_class.get(g.class_id, 0) + 1
+        total_npos = sum(npos_by_class.values())
+
+        def reduce_matches(matches):
+            kept = []
+            for det, matched in matches:
+                if matched is None:
+                    kept.append((det, None))
+                elif categories[matched.tube_key] == cat:
+                    kept.append((det, matched))
+            return kept
+
+        per_class_ap = {}
+        pooled = []
+        for c, matches in class_matches.items():
+            kept = reduce_matches(matches)
+            pooled.extend(kept)
+            ap = reference_average_precision(
+                [(d.score, m is not None) for d, m in kept], npos_by_class.get(c, 0)
+            )
+            if ap is not None:
+                per_class_ap[c] = ap
+        pooled.sort(key=lambda m: (-m[0].score, m[0].gidx))
+        pooled_ap = reference_average_precision(
+            [(d.score, m is not None) for d, m in pooled], total_npos
+        )
+        mean_ap = (
+            sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else None
+        )
+        per_motion[cat] = MotionMetrics(
+            category=cat,
+            num_positives=total_npos,
+            pooled_ap=pooled_ap,
+            mean_ap=mean_ap,
+            per_class_ap=per_class_ap,
+        )
+    return per_motion
+
+
+def _reference_engine(dets, gts, thresh, overlap, level, motion_labels):
+    from tubekit.metrics import EvalReport
+
+    if not 0.0 <= thresh <= 1.0:
+        raise ValueError(f"threshold {thresh} outside [0, 1]")
+    all_classes = sorted({d.class_id for d in dets} | {g.class_id for g in gts})
+    class_dets = {c: [] for c in all_classes}
+    class_gts = {c: [] for c in all_classes}
+    for d in dets:
+        class_dets[d.class_id].append(d)
+    for g in gts:
+        class_gts[g.class_id].append(g)
+    npos = {c: len(class_gts[c]) for c in all_classes}
+    class_matches = {
+        c: _reference_match_class(class_dets[c], class_gts[c], overlap, thresh)
+        for c in all_classes
+    }
+
+    per_class_ap = {}
+    pr_curves = {}
+    for c in all_classes:
+        ap = reference_average_precision(
+            [(d.score, m is not None) for d, m in class_matches[c]], npos[c]
+        )
+        pr_curves[c] = _reference_pr_curve(class_matches[c], npos[c])
+        if ap is not None:
+            per_class_ap[c] = ap
+    mean_ap = sum(per_class_ap.values()) / len(per_class_ap) if per_class_ap else None
+
+    per_motion = None
+    if motion_labels is not None:
+        per_motion = _reference_motion_breakdown(class_matches, gts, motion_labels)
+
+    return EvalReport(
+        level=level,
+        threshold=thresh,
+        per_class_ap=per_class_ap,
+        num_positives=npos,
+        mean_ap=mean_ap,
+        pr_curves=pr_curves,
+        per_motion=per_motion,
+    )
+
+
+def reference_evaluate(level, dets_or_tubes, gts, thresh, motion_labels=None):
+    """The dataclass engine's EvalReport for 'frame' detections or 'video' tubes."""
+    from tubekit.geometry import iou2d, st_iou
+
+    if level == "frame":
+        det_units = []
+        gidx = 0
+        for fd in dets_or_tubes:
+            for d in fd.entries:
+                det_units.append(_Det(d.class_id, (fd.video_id, fd.frame), d.box, d.score, gidx))
+                gidx += 1
+        gt_units = []
+        for gt in gts:
+            geo = gt.geometry
+            for i in range(len(geo)):
+                frame = geo.start_frame + i
+                gt_units.append(_Gt(gt.class_id, (gt.video_id, frame), geo.box_at(frame), gt.key))
+        return _reference_engine(det_units, gt_units, thresh, iou2d, "frame", motion_labels)
+    det_units = [
+        _Det(t.class_id, (t.video_id,), t.geometry, t.tube_score, i)
+        for i, t in enumerate(dets_or_tubes)
+    ]
+    gt_units = [_Gt(g.class_id, (g.video_id,), g.geometry, g.key) for g in gts]
+    return _reference_engine(det_units, gt_units, thresh, st_iou, "video", motion_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -393,6 +393,38 @@ class TestMalformedInputErrors:
         self.assert_error(proc, f"{bad}: tensor 'features' has a bad shape")
         assert len(proc.stderr.decode().splitlines()) == 1
 
+    @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e309:1", "nan:1:0.1"])
+    @pytest.mark.parametrize("command", ["eval-videos", "motion-cdf"])
+    def test_non_finite_step_range(self, fixture_dir, tmp_path, command, bad):
+        gt = fixture_dir / "synth" / "gt.ndjson"
+        if command == "eval-videos":
+            tubes = tmp_path / "tubes.ndjson"
+            tubes.write_text("")
+            args = ("eval-videos", "--gt", gt, "--tubes", tubes, "--sweep", bad)
+        else:
+            args = ("motion-cdf", "--gt", gt, "--edges", bad, "--out", tmp_path / "cdf.csv")
+        proc = run_cli(*args, check=False)
+        self.assert_error(proc, f"bad range '{bad}': start, stop and step must be finite")
+        assert len(proc.stderr.decode().splitlines()) == 1
+
+
+class TestSweepUsageErrors:
+    """A sweep has no single report, so flags that need one are usage errors."""
+
+    @pytest.mark.parametrize("flag", ["--pr-csv", "--motion"])
+    def test_flag_with_sweep_exits_2(self, fixture_dir, tmp_path, flag):
+        tubes = tmp_path / "tubes.ndjson"
+        tubes.write_text("")
+        csv = tmp_path / "pr.csv"
+        extra = ("--pr-csv", csv) if flag == "--pr-csv" else ("--motion",)
+        proc = run_cli("eval-videos", "--gt", fixture_dir / "synth" / "gt.ndjson",
+                       "--tubes", tubes, "--dataset", "multisports",
+                       "--sweep", "0.1:0.9:0.1", *extra, check=False)
+        assert proc.returncode == 2
+        assert f"{flag} cannot be combined with --sweep" in proc.stderr.decode()
+        assert proc.stdout == b""
+        assert not csv.exists()
+
 
 class TestSynthSpecErrors:
     @pytest.mark.parametrize("text, message", [
