@@ -24,6 +24,9 @@ from .tensorfile import TensorFileError, read_tensors, write_tensors
 
 __all__ = ["main"]
 
+# Most values a start:stop:step range may expand to.
+_MAX_RANGE_VALUES = 100_000
+
 
 def _parse_steps(text: str) -> list:
     """Parse 'start:stop:step' into an inclusive list of floats."""
@@ -35,7 +38,10 @@ def _parse_steps(text: str) -> list:
         raise ValueError(f"bad range '{text}': start, stop and step must be finite")
     if step <= 0 or b < a:
         raise ValueError(f"bad range '{text}'")
-    n = int(round((b - a) / step))
+    # Count before building: a finite range can still ask for 10**12 values.
+    n = int(round(min((b - a) / step, _MAX_RANGE_VALUES)))
+    if n + 1 > _MAX_RANGE_VALUES:
+        raise ValueError(f"bad range '{text}': more than {_MAX_RANGE_VALUES} values")
     vals = [round(a + i * step, 9) for i in range(n + 1)]
     return [v for v in vals if v <= b + 1e-9]
 

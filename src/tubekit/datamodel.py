@@ -246,7 +246,7 @@ class ActionTube:
         mean = sum(self.frame_scores) / len(self.frame_scores)
         if self.tube_score is None:
             self.tube_score = mean
-        elif abs(self.tube_score - mean) > 1e-5:
+        elif not abs(self.tube_score - mean) <= 1e-5:  # NaN disagrees too
             raise ValueError(
                 f"tube score {self.tube_score} disagrees with mean frame score {mean}"
             )

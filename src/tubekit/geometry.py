@@ -72,7 +72,7 @@ def box_iou(a, b) -> np.ndarray:
 
 
 class TubeGeometry:
-    """A temporally contiguous run of boxes, one per frame from ``start_frame`` on.
+    """A temporally contiguous run of boxes, one per frame from ``start_frame`` (>= 0) on.
 
     Boxes are stored as a read-only (n, 4) float64 array in (x1, y1, x2, y2)
     order; row i is the box at frame ``start_frame + i``.
@@ -82,6 +82,8 @@ class TubeGeometry:
 
     def __init__(self, start_frame: int, boxes) -> None:
         self.start_frame = int(start_frame)
+        if self.start_frame < 0:
+            raise ValueError(f"start frame must be >= 0, got {self.start_frame}")
         if isinstance(boxes, np.ndarray):
             arr = np.array(boxes, dtype=np.float64)
         else:

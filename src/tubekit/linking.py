@@ -69,45 +69,23 @@ class LinkedPath:
 
 
 class _ActivePath:
-    __slots__ = ("class_id", "start", "boxes", "scores", "score_sum",
-                 "miss_count", "created")
+    """A path being linked. It holds only its claims: one frame, box and score each."""
 
-    def __init__(self, class_id, frame, box, score, created):
-        self.class_id = class_id
+    __slots__ = ("start", "frames", "boxes", "scores", "score_sum", "created")
+
+    def __init__(self, frame, box, score, created):
         self.start = frame
+        self.frames = [frame]
         self.boxes = [box]
         self.scores = [score]
         self.score_sum = score
-        self.miss_count = 0
         self.created = created
 
-    @property
-    def mean_score(self) -> float:
-        return self.score_sum / len(self.scores)
-
-    def claim(self, box, score):
+    def claim(self, frame, box, score):
+        self.frames.append(frame)
         self.boxes.append(box)
         self.scores.append(score)
         self.score_sum += score
-        self.miss_count = 0
-
-    def miss(self):
-        self.boxes.append(self.boxes[-1])
-        self.scores.append(0.0)
-        self.miss_count += 1
-
-    def miss_run(self, frames):
-        # Kept apart from miss(): list concatenation in the per-frame path
-        # made build-tubes on dense-frames about 10% slower than append.
-        self.boxes += [self.boxes[-1]] * frames
-        self.scores += [0.0] * frames
-        self.miss_count += frames
-
-    def finalized(self) -> LinkedPath | None:
-        keep = len(self.boxes) - self.miss_count
-        if keep <= 0:
-            return None
-        return LinkedPath(self.class_id, self.start, self.boxes[:keep], self.scores[:keep])
 
 
 def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> list:
@@ -116,20 +94,18 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
     Frames are visited in order over the video's full frame span. Active
     paths, strongest mean score first, each claim the highest-scoring
     unclaimed detection overlapping their last box by at least the gate;
-    paths that fail to claim append a placeholder and terminate once their
-    miss run exceeds ``max_misses`` (the placeholder tail is dropped).
-    Leftover detections seed new paths. Paths shorter than ``min_len`` are
-    discarded. A run of frame indices absent from ``frame_dets`` is taken
-    in one step, in which every active path misses each of its frames.
+    a path's mean counts every frame since its start, missed ones as 0.
+    A path ends once more than ``max_misses`` frames in a row pass without
+    a claim, whether or not those frames appear in ``frame_dets``; it is
+    kept up to its last claim, each missed frame in it filled with the last
+    claimed box and score 0. Leftover detections seed new paths. Paths
+    shorter than ``min_len`` are discarded.
     """
     params = params or LinkParams()
     by_frame = {}
     for fd in frame_dets:
         cands = [(d.box, d.score) for d in fd.entries if d.class_id == class_id]
-        by_frame[fd.frame] = sorted(
-            [(box, score, i) for i, (box, score) in enumerate(cands)],
-            key=lambda c: (-c[1], c[2]),
-        )
+        by_frame[fd.frame] = sorted(cands, key=lambda c: -c[1])
     if not by_frame:
         return []
 
@@ -137,51 +113,39 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
     finished: list = []
     created = 0
 
-    def finish(path):
-        done = path.finalized()
-        if done is not None and len(done) >= params.min_len:
-            finished.append((path.created, done))
+    def finish(p):
+        if p.frames[-1] - p.start + 1 < params.min_len:
+            return
+        boxes, scores = [], []
+        for frame, box, score in zip(p.frames, p.boxes, p.scores):
+            bridged = frame - p.start - len(boxes)
+            if bridged:
+                boxes += [boxes[-1]] * bridged
+                scores += [0.0] * bridged
+            boxes.append(box)
+            scores.append(score)
+        finished.append((p.created, LinkedPath(class_id, p.start, boxes, scores)))
 
-    prev = None
     for t in sorted(by_frame):
-        gap = 0 if prev is None else t - prev - 1
-        prev = t
-        if gap and active:
-            survivors = []
-            for p in active:
-                if p.miss_count + gap > params.max_misses:
-                    # Ends inside the stretch; its placeholder tail would be dropped.
-                    finish(p)
-                else:
-                    p.miss_run(gap)
-                    survivors.append(p)
-            active = survivors
-        cands = by_frame[t]
-        claimed = [False] * len(cands)
-        for p in sorted(active, key=lambda p: (-p.mean_score, p.created)):
-            picked = None
-            last = p.boxes[-1]
-            for j, (box, score, _) in enumerate(cands):
-                if claimed[j]:
-                    continue
-                if iou2d(last, box) >= params.iou_gate:
-                    picked = j
-                    break
-            if picked is None:
-                p.miss()
-            else:
-                claimed[picked] = True
-                p.claim(cands[picked][0], cands[picked][1])
         survivors = []
         for p in active:
-            if p.miss_count > params.max_misses:
+            if t - 1 - p.frames[-1] > params.max_misses:
                 finish(p)
             else:
                 survivors.append(p)
         active = survivors
-        for j, (box, score, _) in enumerate(cands):
+        cands = by_frame[t]
+        claimed = [False] * len(cands)
+        for p in sorted(active, key=lambda p: (-(p.score_sum / (t - p.start)), p.created)):
+            last = p.boxes[-1]
+            for j, (box, score) in enumerate(cands):
+                if not claimed[j] and iou2d(last, box) >= params.iou_gate:
+                    claimed[j] = True
+                    p.claim(t, box, score)
+                    break
+        for j, (box, score) in enumerate(cands):
             if not claimed[j]:
-                active.append(_ActivePath(class_id, t, box, score, created))
+                active.append(_ActivePath(t, box, score, created))
                 created += 1
     for p in active:
         finish(p)

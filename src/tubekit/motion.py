@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,16 +169,49 @@ def save_motion_labels(labels: dict, path) -> None:
         fh.write(dumps(payload) + "\n")
 
 
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+
+
+def _label_record_line(text: str, index: int) -> int:
+    """Line on which element ``index`` of the top-level ``labels`` array starts.
+
+    ``text`` must hold a JSON object whose (last) ``labels`` member is an
+    array with more than ``index`` elements.
+    """
+    decoder = json.JSONDecoder()
+
+    def skip(pos):
+        return _JSON_SPACE.match(text, pos).end()
+
+    pos = skip(skip(0) + 1)  # past '{'
+    while text[pos] != "}":
+        key, pos = decoder.raw_decode(text, pos)
+        pos = skip(skip(pos) + 1)  # past ':'
+        if key == "labels":
+            array = pos
+        pos = skip(decoder.raw_decode(text, pos)[1])
+        if text[pos] == ",":
+            pos = skip(pos + 1)
+    pos = skip(array + 1)  # past '['
+    for _ in range(index):
+        pos = skip(skip(decoder.raw_decode(text, pos)[1]) + 1)  # past ','
+    return text.count("\n", 0, pos) + 1
+
+
 def load_motion_labels(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+        text = fh.read()
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(obj, dict) or obj.get("schema") != MOTION_LABELS_SCHEMA:
         raise FileFormatError(path, 1, f"expected schema '{MOTION_LABELS_SCHEMA}'")
+    records = obj.get("labels", [])
+    if not isinstance(records, list):
+        raise FileFormatError(path, 1, "field 'labels' must be a list")
     labels = {}
-    for i, rec in enumerate(obj.get("labels", [])):
+    for i, rec in enumerate(records):
         try:
             key = (rec["video"], rec["tube"])
             labels[key] = MotionLabel(
@@ -186,7 +220,9 @@ def load_motion_labels(path) -> dict:
                 tuple(int(d) for d in rec["offsets_used"]),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FileFormatError(path, 1, f"bad label record {i}: {exc}") from None
+            raise FileFormatError(
+                path, _label_record_line(text, i), f"bad label record {i}: {exc}"
+            ) from None
     return labels
 
 

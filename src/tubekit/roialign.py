@@ -125,7 +125,7 @@ def align_tracks(features: FeatureGrid, tracks, output_size: int = 7,
     boxes = np.empty((len(tracks), T, 4), dtype=np.float64)
     for n, tr in enumerate(tracks):
         geo = tr.geometry
-        if geo.start_frame >= T or geo.end_frame < 0:
+        if geo.start_frame >= T:
             raise ValueError(
                 f"track {tr.key} covers frames [{geo.start_frame}, {geo.end_frame}], "
                 f"outside the clip window [0, {T})"

@@ -407,6 +407,21 @@ class TestMalformedInputErrors:
         self.assert_error(proc, f"bad range '{bad}': start, stop and step must be finite")
         assert len(proc.stderr.decode().splitlines()) == 1
 
+    @pytest.mark.parametrize("command, bad", [("motion-cdf", "0:1e12:1"),
+                                              ("eval-videos", "0:0.5:1e-12")])
+    def test_step_range_too_long(self, fixture_dir, tmp_path, command, bad):
+        # Rejected from the count alone: the list of 10**12 values is never built.
+        gt = fixture_dir / "synth" / "gt.ndjson"
+        if command == "eval-videos":
+            tubes = tmp_path / "tubes.ndjson"
+            tubes.write_text("")
+            args = ("eval-videos", "--gt", gt, "--tubes", tubes, "--sweep", bad)
+        else:
+            args = ("motion-cdf", "--gt", gt, "--edges", bad, "--out", tmp_path / "cdf.csv")
+        proc = run_cli(*args, check=False)
+        self.assert_error(proc, f"bad range '{bad}': more than 100000 values")
+        assert len(proc.stderr.decode().splitlines()) == 1
+
 
 class TestSweepUsageErrors:
     """A sweep has no single report, so flags that need one are usage errors."""

@@ -147,6 +147,24 @@ class TestRoundTrips:
         save_action_tubes(loaded, path)
         assert path.read_bytes() == first
 
+    def test_first_frame_is_zero(self, tmp_path):
+        # Frame indices are >= 0 in memory as in the files, so every saved
+        # tube loads back: a start of -3 fails at construction, not on load.
+        with pytest.raises(ValueError, match="start frame must be >= 0, got -3"):
+            GroundTruthTube("v", "t", 0, TubeGeometry(-3, [(0, 0, 1, 1)]))
+        geo = TubeGeometry(0, [(0, 0, 1, 1), (1, 1, 2, 2)])
+        cases = [
+            ([GroundTruthTube("v", "t", 0, geo)], save_ground_truth, load_ground_truth),
+            ([Track("v", "k", geo)], save_tracks, load_tracks),
+            ([ActionTube("v", 0, geo, [0.5, 1.0])], save_action_tubes, load_action_tubes),
+        ]
+        for items, save, load in cases:
+            path = tmp_path / "start0.ndjson"
+            save(items, path)
+            loaded = load(path)
+            assert loaded == items
+            assert loaded[0].geometry.start_frame == 0
+
     def test_track_scores(self, tmp_path):
         path = tmp_path / "scores.ndjson"
         items = [
@@ -300,3 +318,8 @@ class TestTypes:
     def test_frame_detections_rejects_negative_frame(self):
         with pytest.raises(ValueError):
             FrameDetections("v", -1, [])
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    def test_action_tube_rejects_non_finite_tube_score(self, score):
+        with pytest.raises(ValueError, match="disagrees with mean frame score 0.75"):
+            ActionTube("v", 0, TubeGeometry(0, [(0, 0, 1, 1)] * 2), [1.0, 0.5], score)

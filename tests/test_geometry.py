@@ -102,6 +102,11 @@ class TestTubeGeometry:
         with pytest.raises(ValueError):
             TubeGeometry(0, [(2, 0, 1, 1)])
 
+    @pytest.mark.parametrize("start", [-1, -3])
+    def test_rejects_negative_start(self, start):
+        with pytest.raises(ValueError, match=f"start frame must be >= 0, got {start}"):
+            TubeGeometry(start, [(0, 0, 1, 1)])
+
     def test_frames_are_contiguous(self):
         geo = TubeGeometry(3, [(0, 0, 1, 1)] * 4)
         assert len(geo) == 4

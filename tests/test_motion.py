@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,29 @@ class TestLabelTubes:
             '"motion_iou":1' + "0" * 400 + ',"category":"small","offsets_used":[4]}]}'
         )
         with pytest.raises(FileFormatError, match=r"labels\.json:1: bad label record 0"):
+            load_motion_labels(path)
+
+    def test_label_file_bad_record_names_its_line(self, tmp_path):
+        # A hand-edited, pretty-printed file: record 1 starts on line 13.
+        good = {"video": "v", "tube": "t", "motion_iou": 0.5, "category": "small",
+                "offsets_used": [4]}
+        bad = dict(good, tube="u", category="huge")
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(
+            {"schema": "tubekit.motion.v1", "labels": [good, bad, good]}, indent=2
+        ) + "\n")
+        assert path.read_text().splitlines()[12] == "    {"
+        with pytest.raises(FileFormatError) as exc:
+            load_motion_labels(path)
+        assert str(exc.value) == (
+            f"{path}:13: bad label record 1: unknown motion category 'huge'"
+        )
+
+    @pytest.mark.parametrize("labels", [5, None, "x"])
+    def test_label_file_labels_must_be_a_list(self, tmp_path, labels):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"schema": "tubekit.motion.v1", "labels": labels}))
+        with pytest.raises(FileFormatError, match=r"labels\.json:1: field 'labels' must be a list"):
             load_motion_labels(path)
 
     def test_tertile_thresholds(self):
