@@ -8,7 +8,6 @@ compatibility and ignored.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -16,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import datamodel, filtering, linking, metrics, motion, synth
-from .aggregators import aspp_forward, tcn_forward, temporal_max_pool
-from .datamodel import FileFormatError, builtin_config, load_config
+from .aggregators import CHANNELS, aspp_forward, tcn_forward, temporal_max_pool
+from .datamodel import builtin_config, load_config, load_json
 from .jsonfmt import dumps
 from .roialign import FeatureGrid, align_tracks, spatial_avg_pool
-from .tensorfile import TensorFileError, read_tensors, write_tensors
+from .tensorfile import read_tensors, write_tensors
 
 __all__ = ["main"]
 
@@ -134,10 +133,12 @@ def _cmd_label_motion(args) -> int:
 def _cmd_motion_cdf(args) -> int:
     config = _resolve_config(args, required=True)
     gts = datamodel.load_ground_truth(args.gt, config)
-    if args.offset_frames:
-        offset = args.offset_frames
-    else:
-        offset = max(1, round(args.offset_seconds * config.fps))
+    offset = args.offset_frames
+    if offset is None:
+        seconds = args.offset_seconds
+        if not 0.0 < seconds * config.fps < math.inf:
+            raise ValueError(f"--offset-seconds must be finite and positive, got {seconds}")
+        offset = max(1, round(seconds * config.fps))
     edges = _parse_steps(args.edges)
     points, excluded = motion.motion_cdf(gts, offset, edges)
     motion.write_cdf_csv(points, excluded, args.out)
@@ -184,19 +185,18 @@ def _cmd_filter_dets(args) -> int:
 
 def _cmd_pool_features(args) -> int:
     store = read_tensors(args.features)
-    if "features" not in store or "spatial_stride" not in store:
-        raise ValueError(
-            f"{args.features}: expected tensors 'features' (T,C,H,W) and 'spatial_stride' (1)"
-        )
-    values = store["features"]
-    if values.ndim != 4:
-        raise ValueError(f"'features' must be (T, C, H, W), got shape {values.shape}")
-    stride = store["spatial_stride"].reshape(-1)
-    if stride.size != 1:
-        raise ValueError(
-            f"{args.features}: 'spatial_stride' must hold one element, got {stride.size}"
-        )
-    grid = FeatureGrid(values, float(stride[0]))
+    try:
+        if "features" not in store or "spatial_stride" not in store:
+            raise ValueError("expected tensors 'features' (T,C,H,W) and 'spatial_stride' (1)")
+        stride = store["spatial_stride"].reshape(-1)
+        if stride.size != 1:
+            raise ValueError(f"'spatial_stride' must hold one element, got {stride.size}")
+        grid = FeatureGrid(store["features"], float(stride[0]))
+        channels = grid.values.shape[1]
+        if args.tfa != "maxpool" and channels != CHANNELS:
+            raise ValueError(f"--tfa {args.tfa} needs {CHANNELS} channels, got {channels}")
+    except ValueError as exc:
+        raise ValueError(f"{args.features}: {exc}") from None
 
     tracks = datamodel.load_tracks(args.tracks)
     if args.video:
@@ -222,7 +222,10 @@ def _cmd_pool_features(args) -> int:
             raise ValueError(f"--weights is required for --tfa {args.tfa}")
         weights = read_tensors(args.weights)
         forward = tcn_forward if args.tfa == "tcn" else aspp_forward
-        aggregated = forward(pooled, weights)
+        try:
+            aggregated = forward(pooled, weights)
+        except ValueError as exc:
+            raise ValueError(f"{args.weights}: {exc}") from None
     aggregated = aggregated[:, 0].astype(np.float32)
     write_tensors({
         "track_features": pooled.astype(np.float32),
@@ -234,13 +237,9 @@ def _cmd_pool_features(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(args.spec, exc.lineno, f"invalid JSON: {exc.msg}") from None
-    spec = synth.spec_from_dict(obj)
-    gts, dets, tracks, report, features = synth.generate(spec)
+    gts, dets, tracks, report, features = load_json(
+        args.spec, lambda obj: synth.generate(synth.spec_from_dict(obj))
+    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     datamodel.save_ground_truth(gts, out / "gt.ndjson")
@@ -368,6 +367,6 @@ def main(argv=None) -> int:
                 parser.error(f"eval-videos: {flag} cannot be combined with --sweep")
     try:
         return args.func(args)
-    except (FileFormatError, TensorFileError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FileFormatError and TensorFileError included
         sys.stderr.write(f"error: {exc}\n")
         return 1

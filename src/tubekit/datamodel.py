@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,8 +80,8 @@ class DatasetConfig:
         object.__setattr__(self, "class_names", tuple(self.class_names))
         object.__setattr__(self, "motion_bins", tuple(float(b) for b in self.motion_bins))
         object.__setattr__(self, "motion_offsets", tuple(int(d) for d in self.motion_offsets))
-        if self.fps <= 0:
-            raise ValueError("fps must be positive")
+        if not 0 < self.fps <= sys.float_info.max:  # offsets in seconds multiply by it
+            raise ValueError("fps must be positive and within float range")
         if len(self.motion_bins) != 2:
             raise ValueError("motion_bins must hold two thresholds")
         b1, b2 = self.motion_bins
@@ -129,27 +130,26 @@ def builtin_config(name: str) -> DatasetConfig:
 
 def load_config(path) -> DatasetConfig:
     """Read a DatasetConfig from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
+
+    def parse(obj):
+        if not isinstance(obj, dict):
+            raise ValueError("config must be a JSON object")
+        required = {"name", "fps", "class_names", "motion_bins", "motion_offsets"}
+        missing = required - set(obj)
+        if missing:
+            raise ValueError(f"config missing fields: {sorted(missing)}")
         try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise FileFormatError(path, 1, "config must be a JSON object")
-    required = {"name", "fps", "class_names", "motion_bins", "motion_offsets"}
-    missing = required - set(obj)
-    if missing:
-        raise FileFormatError(path, 1, f"config missing fields: {sorted(missing)}")
-    try:
-        return DatasetConfig(
-            name=obj["name"],
-            fps=int(obj["fps"]),
-            class_names=tuple(obj["class_names"]),
-            motion_bins=tuple(obj["motion_bins"]),
-            motion_offsets=tuple(obj["motion_offsets"]),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise FileFormatError(path, 1, f"bad config: {exc}") from None
+            return DatasetConfig(
+                name=obj["name"],
+                fps=int(obj["fps"]),
+                class_names=tuple(obj["class_names"]),
+                motion_bins=tuple(obj["motion_bins"]),
+                motion_offsets=tuple(obj["motion_offsets"]),
+            )
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"bad config: {exc}") from None
+
+    return load_json(path, parse)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ class Detection:
     def __post_init__(self):
         if self.class_id < 0:
             raise ValueError(f"class id must be >= 0, got {self.class_id}")
-        if not (math.isfinite(self.score) and 0.0 <= self.score <= 1.0):
+        if not 0.0 <= self.score <= 1.0:  # NaN fails too
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
@@ -215,7 +215,7 @@ class Track:
                     f"{len(self.geometry)} boxes"
                 )
             for s in self.box_scores:
-                if not (math.isfinite(s) and 0.0 <= s <= 1.0):
+                if not 0.0 <= s <= 1.0:
                     raise ValueError(f"track '{self.track_id}': score {s} outside [0, 1]")
 
     @property
@@ -241,7 +241,7 @@ class ActionTube:
                 f"{len(self.frame_scores)} frame scores for {len(self.geometry)} boxes"
             )
         for s in self.frame_scores:
-            if not (math.isfinite(s) and 0.0 <= s <= 1.0):
+            if not 0.0 <= s <= 1.0:
                 raise ValueError(f"frame score {s} outside [0, 1]")
         mean = sum(self.frame_scores) / len(self.frame_scores)
         if self.tube_score is None:
@@ -286,68 +286,97 @@ def _reject_constant(token):
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 
 
-def _iter_records(path, schema: str):
-    """Yield (lineno, record dict) after checking the header line."""
+def _utf8_error(path, exc: UnicodeDecodeError) -> FileFormatError:
+    """``exc``, raised while reading ``path`` as text, at the line of the bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:  # its offset counts from the start of the file
+        exc = whole
+    return FileFormatError(path, data.count(b"\n", 0, exc.start) + 1, str(exc))
+
+
+def load_json(path, parse):
+    """``parse(document)`` for the JSON file ``path``; its ValueErrors are reported at line 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(path, exc) from None
+        except json.JSONDecodeError as exc:
+            raise FileFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:
+            raise FileFormatError(path, 1, str(exc)) from None
+
+
+def _load_records(path, schema: str, parse) -> list:
+    """``parse`` of each record after the header line; a ValueError is reported at its line."""
+    records = []
     with open(path, "r", encoding="utf-8") as fh:
         saw_header = False
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                obj = _DECODER.decode(line)
-            except (json.JSONDecodeError, ValueError) as exc:
-                if line.startswith("\ufeff"):
-                    # json.loads' own message, which the decoder does not give
-                    exc = json.JSONDecodeError(
-                        "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
-                    )
-                raise FileFormatError(path, lineno, f"invalid JSON: {exc}") from None
-            if not isinstance(obj, dict):
-                raise FileFormatError(path, lineno, "record must be a JSON object")
-            if not saw_header:
-                if obj != {"schema": schema}:
-                    raise FileFormatError(
-                        path, lineno, f'expected header {{"schema":"{schema}"}}'
-                    )
-                saw_header = True
-                continue
-            yield lineno, obj
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    obj = _DECODER.decode(line)
+                except ValueError as exc:
+                    if line.startswith("\ufeff"):
+                        # json.loads' own message, which the decoder does not give
+                        exc = json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                        )
+                    raise ValueError(f"invalid JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise ValueError("record must be a JSON object")
+                if saw_header:
+                    records.append(parse(obj))
+                elif obj == {"schema": schema}:
+                    saw_header = True
+                else:
+                    raise ValueError(f'expected header {{"schema":"{schema}"}}')
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(path, exc) from None
+        except ValueError as exc:
+            raise FileFormatError(path, lineno, str(exc)) from None
+    return records
 
 
-def _check_fields(path, lineno, obj, required, optional=()):
+def _check_fields(obj, required, optional=()):
     keys = set(obj)
     missing = set(required) - keys
     if missing:
-        raise FileFormatError(path, lineno, f"missing fields: {sorted(missing)}")
+        raise ValueError(f"missing fields: {sorted(missing)}")
     unknown = keys - set(required) - set(optional)
     if unknown:
-        raise FileFormatError(path, lineno, f"unknown fields: {sorted(unknown)}")
+        raise ValueError(f"unknown fields: {sorted(unknown)}")
 
 
-def _get_str(path, lineno, obj, key) -> str:
+def _get_str(obj, key) -> str:
     v = obj[key]
     if not isinstance(v, str) or not v:
-        raise FileFormatError(path, lineno, f"field '{key}' must be a non-empty string")
+        raise ValueError(f"field '{key}' must be a non-empty string")
     return v
 
 
-def _get_int(path, lineno, obj, key, minimum=None) -> int:
+def _get_int(obj, key, minimum=None) -> int:
     v = obj[key]
     if isinstance(v, bool) or not isinstance(v, int):
-        raise FileFormatError(path, lineno, f"field '{key}' must be an integer")
+        raise ValueError(f"field '{key}' must be an integer")
     if minimum is not None and v < minimum:
-        raise FileFormatError(path, lineno, f"field '{key}' must be >= {minimum}, got {v}")
+        raise ValueError(f"field '{key}' must be >= {minimum}, got {v}")
     return v
 
 
-def _get_number(path, lineno, value, what) -> float:
+def _get_number(value, what) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FileFormatError(path, lineno, f"{what} must be a number")
+        raise ValueError(f"{what} must be a number")
     try:
         return float(value)
     except OverflowError:  # json keeps 10**400 exact; 1e400 reads as inf, which callers reject
-        raise FileFormatError(path, lineno, f"{what} is beyond float range") from None
+        raise ValueError(f"{what} is beyond float range") from None
 
 
 _INF = math.inf
@@ -431,104 +460,87 @@ def _detection(x1, y1, x2, y2, class_id, score) -> Detection:
     return det
 
 
-def _get_boxes(path, lineno, obj, key="boxes") -> np.ndarray:
+def _get_boxes(obj, key="boxes") -> np.ndarray:
     v = obj[key]
     arr = _typed_boxes(v)
     if arr is not None:
         return arr
     if not isinstance(v, list) or not v:
-        raise FileFormatError(path, lineno, f"field '{key}' must be a non-empty list")
+        raise ValueError(f"field '{key}' must be a non-empty list")
     rows = []
     for i, row in enumerate(v):
         if not isinstance(row, list) or len(row) != 4:
-            raise FileFormatError(path, lineno, f"{key}[{i}] must be [x1,y1,x2,y2]")
-        rows.append([_get_number(path, lineno, c, f"{key}[{i}]") for c in row])
+            raise ValueError(f"{key}[{i}] must be [x1,y1,x2,y2]")
+        rows.append([_get_number(c, f"{key}[{i}]") for c in row])
     return np.array(rows, dtype=np.float64)
 
 
-def _get_scores(path, lineno, obj, key, expected_len) -> list:
+def _get_scores(obj, key, expected_len) -> list:
     v = obj[key]
     vals = _typed_scores(v, expected_len)
     if vals is not None:
         return vals
     if not isinstance(v, list):
-        raise FileFormatError(path, lineno, f"field '{key}' must be a list")
-    vals = [_get_number(path, lineno, s, f"{key}[{i}]") for i, s in enumerate(v)]
+        raise ValueError(f"field '{key}' must be a list")
+    vals = [_get_number(s, f"{key}[{i}]") for i, s in enumerate(v)]
     for i, s in enumerate(vals):
         if not 0.0 <= s <= 1.0:
-            raise FileFormatError(path, lineno, f"{key}[{i}] = {s} outside [0, 1]")
+            raise ValueError(f"{key}[{i}] = {s} outside [0, 1]")
     if len(vals) != expected_len:
-        raise FileFormatError(
-            path, lineno, f"field '{key}' has {len(vals)} entries, expected {expected_len}"
-        )
+        raise ValueError(f"field '{key}' has {len(vals)} entries, expected {expected_len}")
     return vals
 
 
-def _get_dets(path, lineno, obj, config) -> list:
+def _get_dets(obj, config) -> list:
     dets = obj["dets"]
     entries = _typed_dets(dets, _INF if config is None else config.num_classes)
     if entries is not None:
         return entries
     if not isinstance(dets, list):
-        raise FileFormatError(path, lineno, "field 'dets' must be a list")
+        raise ValueError("field 'dets' must be a list")
     entries = []
     for i, row in enumerate(dets):
         if not isinstance(row, list) or len(row) != 6:
-            raise FileFormatError(
-                path, lineno, f"dets[{i}] must be [x1,y1,x2,y2,class,score]"
-            )
-        coords = [_get_number(path, lineno, c, f"dets[{i}]") for c in row[:4]]
+            raise ValueError(f"dets[{i}] must be [x1,y1,x2,y2,class,score]")
+        coords = [_get_number(c, f"dets[{i}]") for c in row[:4]]
         if isinstance(row[4], bool) or not isinstance(row[4], int) or row[4] < 0:
-            raise FileFormatError(path, lineno, f"dets[{i}] class must be an integer >= 0")
-        _check_class(path, lineno, row[4], config)
-        score = _get_number(path, lineno, row[5], f"dets[{i}] score")
+            raise ValueError(f"dets[{i}] class must be an integer >= 0")
+        _check_class(row[4], config)
+        score = _get_number(row[5], f"dets[{i}] score")
         if not 0.0 <= score <= 1.0:
-            raise FileFormatError(path, lineno, f"dets[{i}] score {score} outside [0, 1]")
-        box = _wrap(path, lineno, lambda: Box(*coords))
-        entries.append(Detection(box, row[4], score))
+            raise ValueError(f"dets[{i}] score {score} outside [0, 1]")
+        entries.append(Detection(Box(*coords), row[4], score))
     return entries
 
 
-def _get_matrix(path, lineno, obj, width) -> list:
+def _get_matrix(obj, width) -> list:
     """The 'scores' rows; ``width`` is the file's class count, None before its first row."""
     rows = obj["scores"]
     mat = _typed_matrix(rows, width)
     if mat is not None:
         return mat
     if not isinstance(rows, list) or not rows:
-        raise FileFormatError(path, lineno, "field 'scores' must be a non-empty list")
+        raise ValueError("field 'scores' must be a non-empty list")
     mat = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or not row:
-            raise FileFormatError(path, lineno, f"scores[{i}] must be a non-empty list")
-        vals = [_get_number(path, lineno, s, f"scores[{i}]") for s in row]
+            raise ValueError(f"scores[{i}] must be a non-empty list")
+        vals = [_get_number(s, f"scores[{i}]") for s in row]
         if any(not 0.0 <= s <= 1.0 for s in vals):
-            raise FileFormatError(path, lineno, f"scores[{i}] outside [0, 1]")
+            raise ValueError(f"scores[{i}] outside [0, 1]")
         if width is None:
             width = len(vals)
         if len(vals) != width:
-            raise FileFormatError(
-                path, lineno, f"scores[{i}] has {len(vals)} classes, expected {width}"
-            )
+            raise ValueError(f"scores[{i}] has {len(vals)} classes, expected {width}")
         mat.append(vals)
     return mat
 
 
-def _check_class(path, lineno, class_id, config):
+def _check_class(class_id, config):
     if config is not None and class_id >= config.num_classes:
-        raise FileFormatError(
-            path, lineno,
-            f"class {class_id} outside the {config.num_classes}-class '{config.name}' vocabulary",
+        raise ValueError(
+            f"class {class_id} outside the {config.num_classes}-class '{config.name}' vocabulary"
         )
-
-
-def _wrap(path, lineno, fn):
-    try:
-        return fn()
-    except ValueError as exc:
-        if isinstance(exc, FileFormatError):
-            raise
-        raise FileFormatError(path, lineno, str(exc)) from None
 
 
 def _write_lines(path, schema: str, lines) -> None:
@@ -544,21 +556,22 @@ def _write_lines(path, schema: str, lines) -> None:
 
 def load_ground_truth(path, config: DatasetConfig | None = None) -> list:
     """Load ground-truth tubes, sorted by (video, tube). Duplicate ids are errors."""
-    tubes = []
     seen = set()
-    for lineno, obj in _iter_records(path, GT_SCHEMA):
-        _check_fields(path, lineno, obj, ("video", "tube", "class", "start", "boxes"))
-        video = _get_str(path, lineno, obj, "video")
-        tube = _get_str(path, lineno, obj, "tube")
-        class_id = _get_int(path, lineno, obj, "class", minimum=0)
-        _check_class(path, lineno, class_id, config)
-        start = _get_int(path, lineno, obj, "start", minimum=0)
-        boxes = _get_boxes(path, lineno, obj)
+
+    def parse(obj):
+        _check_fields(obj, ("video", "tube", "class", "start", "boxes"))
+        video = _get_str(obj, "video")
+        tube = _get_str(obj, "tube")
+        class_id = _get_int(obj, "class", minimum=0)
+        _check_class(class_id, config)
+        start = _get_int(obj, "start", minimum=0)
+        boxes = _get_boxes(obj)
         if (video, tube) in seen:
-            raise FileFormatError(path, lineno, f"duplicate tube '{tube}' in video '{video}'")
+            raise ValueError(f"duplicate tube '{tube}' in video '{video}'")
         seen.add((video, tube))
-        geom = _wrap(path, lineno, lambda: TubeGeometry(start, boxes))
-        tubes.append(_wrap(path, lineno, lambda: GroundTruthTube(video, tube, class_id, geom)))
+        return GroundTruthTube(video, tube, class_id, TubeGeometry(start, boxes))
+
+    tubes = _load_records(path, GT_SCHEMA, parse)
     tubes.sort(key=lambda t: t.key)
     return tubes
 
@@ -582,17 +595,18 @@ def save_ground_truth(tubes, path) -> None:
 
 def load_detections(path, config: DatasetConfig | None = None) -> list:
     """Load per-frame detections, sorted by (video, frame)."""
-    frames = []
     seen = set()
-    for lineno, obj in _iter_records(path, DET_SCHEMA):
-        _check_fields(path, lineno, obj, ("video", "frame", "dets"))
-        video = _get_str(path, lineno, obj, "video")
-        frame = _get_int(path, lineno, obj, "frame", minimum=0)
+
+    def parse(obj):
+        _check_fields(obj, ("video", "frame", "dets"))
+        video = _get_str(obj, "video")
+        frame = _get_int(obj, "frame", minimum=0)
         if (video, frame) in seen:
-            raise FileFormatError(path, lineno, f"duplicate frame {frame} in video '{video}'")
+            raise ValueError(f"duplicate frame {frame} in video '{video}'")
         seen.add((video, frame))
-        entries = _get_dets(path, lineno, obj, config)
-        frames.append(_wrap(path, lineno, lambda: FrameDetections(video, frame, entries)))
+        return FrameDetections(video, frame, _get_dets(obj, config))
+
+    frames = _load_records(path, DET_SCHEMA, parse)
     frames.sort(key=lambda fd: (fd.video_id, fd.frame))
     return frames
 
@@ -614,22 +628,23 @@ def save_detections(frames, path) -> None:
 
 def load_tracks(path) -> list:
     """Load tracks, sorted by (video, track)."""
-    tracks = []
     seen = set()
-    for lineno, obj in _iter_records(path, TRACK_SCHEMA):
-        _check_fields(path, lineno, obj, ("video", "track", "start", "boxes"), ("scores",))
-        video = _get_str(path, lineno, obj, "video")
-        track = _get_str(path, lineno, obj, "track")
-        start = _get_int(path, lineno, obj, "start", minimum=0)
-        boxes = _get_boxes(path, lineno, obj)
+
+    def parse(obj):
+        _check_fields(obj, ("video", "track", "start", "boxes"), ("scores",))
+        video = _get_str(obj, "video")
+        track = _get_str(obj, "track")
+        start = _get_int(obj, "start", minimum=0)
+        boxes = _get_boxes(obj)
         scores = None
         if "scores" in obj:
-            scores = _get_scores(path, lineno, obj, "scores", expected_len=len(boxes))
+            scores = _get_scores(obj, "scores", expected_len=len(boxes))
         if (video, track) in seen:
-            raise FileFormatError(path, lineno, f"duplicate track '{track}' in video '{video}'")
+            raise ValueError(f"duplicate track '{track}' in video '{video}'")
         seen.add((video, track))
-        geom = _wrap(path, lineno, lambda: TubeGeometry(start, boxes))
-        tracks.append(_wrap(path, lineno, lambda: Track(video, track, geom, scores)))
+        return Track(video, track, TubeGeometry(start, boxes), scores)
+
+    tracks = _load_records(path, TRACK_SCHEMA, parse)
     tracks.sort(key=lambda t: t.key)
     return tracks
 
@@ -655,24 +670,21 @@ def save_tracks(tracks, path) -> None:
 
 def load_action_tubes(path, config: DatasetConfig | None = None) -> list:
     """Load detected action tubes, sorted by (video, class, start)."""
-    tubes = []
-    for lineno, obj in _iter_records(path, TUBE_SCHEMA):
-        _check_fields(
-            path, lineno, obj, ("video", "class", "start", "boxes", "frame_scores", "score")
-        )
-        video = _get_str(path, lineno, obj, "video")
-        class_id = _get_int(path, lineno, obj, "class", minimum=0)
-        _check_class(path, lineno, class_id, config)
-        start = _get_int(path, lineno, obj, "start", minimum=0)
-        boxes = _get_boxes(path, lineno, obj)
-        frame_scores = _get_scores(path, lineno, obj, "frame_scores", expected_len=len(boxes))
-        score = _get_number(path, lineno, obj["score"], "field 'score'")
+
+    def parse(obj):
+        _check_fields(obj, ("video", "class", "start", "boxes", "frame_scores", "score"))
+        video = _get_str(obj, "video")
+        class_id = _get_int(obj, "class", minimum=0)
+        _check_class(class_id, config)
+        start = _get_int(obj, "start", minimum=0)
+        boxes = _get_boxes(obj)
+        frame_scores = _get_scores(obj, "frame_scores", expected_len=len(boxes))
+        score = _get_number(obj["score"], "field 'score'")
         if not 0.0 <= score <= 1.0:
-            raise FileFormatError(path, lineno, f"field 'score' = {score} outside [0, 1]")
-        geom = _wrap(path, lineno, lambda: TubeGeometry(start, boxes))
-        tubes.append(
-            _wrap(path, lineno, lambda: ActionTube(video, class_id, geom, frame_scores, score))
-        )
+            raise ValueError(f"field 'score' = {score} outside [0, 1]")
+        return ActionTube(video, class_id, TubeGeometry(start, boxes), frame_scores, score)
+
+    tubes = _load_records(path, TUBE_SCHEMA, parse)
     tubes.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
     return tubes
 
@@ -698,20 +710,23 @@ def save_action_tubes(tubes, path) -> None:
 
 def load_track_scores(path) -> list:
     """Load per-track class score matrices, sorted by (video, track)."""
-    out = []
     seen = set()
     width = None
-    for lineno, obj in _iter_records(path, TRACK_SCORES_SCHEMA):
-        _check_fields(path, lineno, obj, ("video", "track", "start", "scores"))
-        video = _get_str(path, lineno, obj, "video")
-        track = _get_str(path, lineno, obj, "track")
-        start = _get_int(path, lineno, obj, "start", minimum=0)
-        mat = _get_matrix(path, lineno, obj, width)
+
+    def parse(obj):
+        nonlocal width
+        _check_fields(obj, ("video", "track", "start", "scores"))
+        video = _get_str(obj, "video")
+        track = _get_str(obj, "track")
+        start = _get_int(obj, "start", minimum=0)
+        mat = _get_matrix(obj, width)
         width = len(mat[0])
         if (video, track) in seen:
-            raise FileFormatError(path, lineno, f"duplicate track '{track}' in video '{video}'")
+            raise ValueError(f"duplicate track '{track}' in video '{video}'")
         seen.add((video, track))
-        out.append(_wrap(path, lineno, lambda: TrackScores(video, track, start, np.array(mat))))
+        return TrackScores(video, track, start, np.array(mat))
+
+    out = _load_records(path, TRACK_SCORES_SCHEMA, parse)
     out.sort(key=lambda t: t.key)
     return out
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DatasetConfig, FileFormatError
+from .datamodel import DatasetConfig, FileFormatError, load_json
+from .datamodel import _check_fields, _get_number, _get_str  # the NDJSON record checks
 from .geometry import TubeGeometry, box_iou
 from .jsonfmt import dumps, format_float
 
@@ -198,31 +199,38 @@ def _label_record_line(text: str, index: int) -> int:
     return text.count("\n", 0, pos) + 1
 
 
-def load_motion_labels(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FileFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+def _label_records(obj) -> list:
     if not isinstance(obj, dict) or obj.get("schema") != MOTION_LABELS_SCHEMA:
-        raise FileFormatError(path, 1, f"expected schema '{MOTION_LABELS_SCHEMA}'")
+        raise ValueError(f"expected schema '{MOTION_LABELS_SCHEMA}'")
     records = obj.get("labels", [])
     if not isinstance(records, list):
-        raise FileFormatError(path, 1, "field 'labels' must be a list")
+        raise ValueError("field 'labels' must be a list")
+    return records
+
+
+def load_motion_labels(path) -> dict:
+    """Read labels written by ``save_motion_labels``; a bad record is reported at its line."""
     labels = {}
-    for i, rec in enumerate(records):
+    for i, rec in enumerate(load_json(path, _label_records)):
         try:
-            key = (rec["video"], rec["tube"])
-            labels[key] = MotionLabel(
-                float(rec["motion_iou"]),
-                MotionCategory.from_label(rec["category"]),
-                tuple(int(d) for d in rec["offsets_used"]),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise FileFormatError(
-                path, _label_record_line(text, i), f"bad label record {i}: {exc}"
-            ) from None
+            if not isinstance(rec, dict):
+                raise ValueError("record must be a JSON object")
+            _check_fields(rec, ("video", "tube", "motion_iou", "category", "offsets_used"))
+            key = (_get_str(rec, "video"), _get_str(rec, "tube"))
+            value = _get_number(rec["motion_iou"], "field 'motion_iou'")
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"field 'motion_iou' = {value} outside [0, 1]")
+            category = MotionCategory.from_label(_get_str(rec, "category"))
+            offsets = rec["offsets_used"]
+            if not isinstance(offsets, list) or not all(type(d) is int and d > 0 for d in offsets):
+                raise ValueError("field 'offsets_used' must be a list of integers >= 1")
+            if key in labels:
+                raise ValueError(f"duplicate tube '{key[1]}' in video '{key[0]}'")
+            labels[key] = MotionLabel(value, category, tuple(offsets))
+        except ValueError as exc:
+            with open(path, "r", encoding="utf-8") as fh:
+                line = _label_record_line(fh.read(), i)
+            raise FileFormatError(path, line, f"bad label record {i}: {exc}") from None
     return labels
 
 

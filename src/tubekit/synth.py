@@ -79,7 +79,7 @@ def _is_number(v) -> bool:
 
 # The JSON kind each SynthSpec field annotation accepts, and its name for errors.
 _KINDS = {
-    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer"),
+    "int": (lambda v: isinstance(v, int) and _is_number(v), "an integer"),
     "float": (_is_number, "a finite number"),
     "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
               "a list of finite numbers"),

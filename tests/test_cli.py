@@ -423,6 +423,35 @@ class TestMalformedInputErrors:
         assert len(proc.stderr.decode().splitlines()) == 1
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--offset-seconds", "-5"), "error: --offset-seconds must be finite and positive, "
+                                     "got -5.0"),
+        (("--offset-seconds", "nan"), "error: --offset-seconds must be finite and positive, "
+                                      "got nan"),
+        (("--offset-seconds", "1e308"), "error: --offset-seconds must be finite and positive, "
+                                        "got 1e+308"),
+        (("--offset-frames", "0"), "error: pair offset must be >= 1 frame"),
+    ])
+    def test_motion_cdf_bad_offset(self, fixture_dir, tmp_path, flags, message):
+        proc = run_cli("motion-cdf", "--gt", fixture_dir / "synth" / "gt.ndjson", *flags,
+                       "--out", tmp_path / "cdf.csv", check=False)
+        assert (proc.returncode, proc.stderr.decode()) == (1, message + "\n")
+        assert not (tmp_path / "cdf.csv").exists()
+
+    def test_motion_cdf_small_offset_rounds_up_to_one_frame(self, fixture_dir, tmp_path):
+        proc = run_cli("motion-cdf", "--gt", fixture_dir / "synth" / "gt.ndjson",
+                       "--offset-seconds", "0.001", "--out", tmp_path / "cdf.csv")
+        assert "too short for offset 1)" in proc.stdout.decode()
+
+    def test_spec_not_utf8_names_its_line(self, tmp_path):
+        spec = tmp_path / "s.json"
+        spec.write_bytes(b'{\n"seed": 1,\n"dataset": "\xff"}\n')
+        proc = run_cli("synth", "--spec", spec, "--out", tmp_path / "out", check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == (f"error: {spec}:3: 'utf-8' codec can't decode byte "
+                                        "0xff in position 25: invalid start byte\n")
+
+
 class TestSweepUsageErrors:
     """A sweep has no single report, so flags that need one are usage errors."""
 
@@ -454,6 +483,17 @@ class TestSynthSpecErrors:
         stderr = proc.stderr.decode()
         assert stderr.startswith("error: ") and message in stderr
         assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"bogus": 1}', "unknown synth spec fields: ['bogus']"),
+        ('{"num_videos": 0}', "need at least one video of at least two frames"),
+        ('{"tubes_per_video": 24}', "too many tubes per video (24) for the canvas"),
+    ])
+    def test_spec_content_error_names_the_spec(self, tmp_path, text, message):
+        spec = tmp_path / "s.json"
+        spec.write_text(text)
+        proc = run_cli("synth", "--spec", spec, "--out", tmp_path / "out", check=False)
+        assert (proc.returncode, proc.stderr.decode()) == (1, f"error: {spec}:1: {message}\n")
 
 
 class TestDeterminism:

@@ -323,3 +323,43 @@ class TestTypes:
     def test_action_tube_rejects_non_finite_tube_score(self, score):
         with pytest.raises(ValueError, match="disagrees with mean frame score 0.75"):
             ActionTube("v", 0, TubeGeometry(0, [(0, 0, 1, 1)] * 2), [1.0, 0.5], score)
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("make, message", [
+        (lambda s: Detection(Box(0, 0, 1, 1), 0, s), "score must lie in [0, 1], got {}"),
+        (lambda s: Track("v", "k", TubeGeometry(0, [(0, 0, 1, 1)]), [s]),
+         "track 'k': score {} outside [0, 1]"),
+        (lambda s: ActionTube("v", 0, TubeGeometry(0, [(0, 0, 1, 1)]), [s]),
+         "frame score {} outside [0, 1]"),
+    ], ids=["detection", "track", "action-tube"])
+    def test_non_finite_scores_fail_the_range_test(self, make, message, score):
+        with pytest.raises(ValueError) as exc:
+            make(score)
+        assert str(exc.value) == message.format(score)
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 is reported at its file and line."""
+
+    def test_ndjson_names_the_line(self, tmp_path):
+        path = tmp_path / "gt.ndjson"
+        path.write_bytes(b'{"schema":"tubekit.gt.v1"}\n{"video":"v\xff"}\n')
+        with pytest.raises(FileFormatError) as exc:
+            load_ground_truth(path)
+        assert str(exc.value) == (f"{path}:2: 'utf-8' codec can't decode byte 0xff "
+                                  "in position 38: invalid start byte")
+
+    def test_ndjson_line_past_the_first_read(self, tmp_path):
+        # Text is decoded in chunks; the line counts from the start of the file.
+        path = tmp_path / "gt.ndjson"
+        path.write_bytes(b'{"schema":"tubekit.gt.v1"}' + b"\n" * 20000 + b"\xc3(\n")
+        with pytest.raises(FileFormatError) as exc:
+            load_ground_truth(path)
+        assert exc.value.line == 20001
+        assert "can't decode byte 0xc3 in position 20026" in str(exc.value)
+
+    def test_config_names_the_line(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{\n  "name": "x",\n  "fps": "\xff"\n}\n')
+        with pytest.raises(FileFormatError, match=r"cfg\.json:3: 'utf-8' codec can't decode"):
+            load_config(path)

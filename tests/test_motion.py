@@ -7,6 +7,7 @@ from tubekit.datamodel import FileFormatError, GroundTruthTube, builtin_config
 from tubekit.geometry import TubeGeometry
 from tubekit.motion import (
     MotionCategory,
+    MotionLabel,
     classify_motion,
     label_tubes,
     load_motion_labels,
@@ -175,6 +176,38 @@ class TestLabelTubes:
         assert str(exc.value) == (
             f"{path}:13: bad label record 1: unknown motion category 'huge'"
         )
+
+    @pytest.mark.parametrize("change, message", [
+        ({"motion_iou": float("nan")}, "field 'motion_iou' = nan outside [0, 1]"),
+        ({"motion_iou": float("-inf")}, "field 'motion_iou' = -inf outside [0, 1]"),
+        ({"motion_iou": 7.5}, "field 'motion_iou' = 7.5 outside [0, 1]"),
+        ({"motion_iou": "0.5"}, "field 'motion_iou' must be a number"),
+        ({"offsets_used": [True, 2.9]}, "field 'offsets_used' must be a list of integers >= 1"),
+        ({"offsets_used": [-4]}, "field 'offsets_used' must be a list of integers >= 1"),
+        ({"offsets_used": 4}, "field 'offsets_used' must be a list of integers >= 1"),
+        ({"extra": 1}, "unknown fields: ['extra']"),
+        ({"tube": ""}, "field 'tube' must be a non-empty string"),
+        ({"category": 5}, "field 'category' must be a non-empty string"),
+        ({"tube": "t"}, "duplicate tube 't' in video 'v'"),
+    ])
+    def test_label_file_records_are_strict(self, tmp_path, change, message):
+        good = {"video": "v", "tube": "t", "motion_iou": 0.5, "category": "small",
+                "offsets_used": [4]}
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"schema": "tubekit.motion.v1", "labels": [
+            good, {**good, "tube": "u", **change}]}, indent=2) + "\n")
+        assert path.read_text().splitlines()[12] == "    {"
+        with pytest.raises(FileFormatError) as exc:
+            load_motion_labels(path)
+        assert str(exc.value) == f"{path}:13: bad label record 1: {message}"
+
+    def test_label_file_may_have_no_offsets(self, tmp_path):
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"schema": "tubekit.motion.v1", "labels": [
+            {"video": "v", "tube": "t", "motion_iou": 1, "category": "small",
+             "offsets_used": []}]}))
+        assert load_motion_labels(path) == {
+            ("v", "t"): MotionLabel(1.0, MotionCategory.SMALL, ())}
 
     @pytest.mark.parametrize("labels", [5, None, "x"])
     def test_label_file_labels_must_be_a_list(self, tmp_path, labels):

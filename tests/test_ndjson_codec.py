@@ -242,7 +242,7 @@ def test_canonical_files_take_the_typed_pass(tmp_path, name):
     # passes read none but a tube record's single 'score'.
     with mock.patch.object(datamodel, "_get_number", side_effect=datamodel._get_number) as spy:
         assert _canon(load(path)) == expected
-    assert [c.args[3] for c in spy.call_args_list] == \
+    assert [c.args[1] for c in spy.call_args_list] == \
         (["field 'score'"] * len(fixture()) if name == "tube" else [])
 
 
