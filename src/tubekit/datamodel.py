@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -72,9 +72,9 @@ class DatasetConfig:
 
     name: str
     fps: int
-    class_names: tuple
+    class_names: tuple[str, ...]
     motion_bins: tuple
-    motion_offsets: tuple
+    motion_offsets: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -129,27 +129,50 @@ def builtin_config(name: str) -> DatasetConfig:
 
 
 def load_config(path) -> DatasetConfig:
-    """Read a DatasetConfig from a JSON file."""
+    """Read a DatasetConfig from a JSON file, rejecting unknown, missing or mistyped fields."""
+    return load_json(path, lambda obj: _from_json_object(DatasetConfig, obj, "config"))
 
-    def parse(obj):
-        if not isinstance(obj, dict):
-            raise ValueError("config must be a JSON object")
-        required = {"name", "fps", "class_names", "motion_bins", "motion_offsets"}
-        missing = required - set(obj)
-        if missing:
-            raise ValueError(f"config missing fields: {sorted(missing)}")
-        try:
-            return DatasetConfig(
-                name=obj["name"],
-                fps=int(obj["fps"]),
-                class_names=tuple(obj["class_names"]),
-                motion_bins=tuple(obj["motion_bins"]),
-                motion_offsets=tuple(obj["motion_offsets"]),
-            )
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"bad config: {exc}") from None
 
-    return load_json(path, parse)
+def _is_number(v) -> bool:
+    # Rejects NaN and Infinity, which json.load accepts, and integers beyond float range.
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and _is_number(v)
+
+
+# The JSON kind each dataclass field annotation accepts, and its name for errors.
+_KINDS = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
+              "a list of finite numbers"),
+    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                        "a list of integers"),
+    "tuple[str, ...]": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+                        "a list of strings"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _from_json_object(cls, obj, what: str):
+    """``cls(**obj)`` for a parsed JSON object whose fields all have their annotated kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    kinds = {f.name: _KINDS[f.type] for f in fields(cls)}
+    unknown = set(obj) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
+    if missing:
+        raise ValueError(f"{what} missing fields: {sorted(missing)}")
+    for name, value in obj.items():
+        ok, want = kinds[name]
+        if not ok(value):
+            raise ValueError(f"{what} field '{name}' must be {want}, got {value!r}")
+    return cls(**obj)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +331,8 @@ def load_json(path, parse):
             raise FileFormatError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
         except ValueError as exc:
             raise FileFormatError(path, 1, str(exc)) from None
+        except RecursionError as exc:  # nesting too deep to decode, or to repr in a message
+            raise FileFormatError(path, 1, f"invalid JSON: {exc}") from None
 
 
 def _load_records(path, schema: str, parse) -> list:
@@ -322,7 +347,7 @@ def _load_records(path, schema: str, parse) -> list:
                     continue
                 try:
                     obj = _DECODER.decode(line)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     if line.startswith("\ufeff"):
                         # json.loads' own message, which the decoder does not give
                         exc = json.JSONDecodeError(

@@ -9,8 +9,7 @@ jitter, spurious and fragmentation noise.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .datamodel import (
     FrameDetections,
     GroundTruthTube,
     Track,
+    _from_json_object,
     builtin_config,
 )
 from .geometry import Box, TubeGeometry
@@ -31,6 +31,9 @@ __all__ = ["SynthSpec", "generate", "spec_from_dict"]
 _CANVAS = 1024.0
 _BOX = 48.0
 _MARGIN = 8.0
+# Bounds on the work a spec may ask for: planted frames, and float32 feature values (1 GiB).
+_MAX_FRAMES = 10**5
+_MAX_FEATURE_VALUES = 2**28
 
 
 @dataclass(frozen=True)
@@ -70,37 +73,18 @@ class SynthSpec:
             raise ValueError("jitter_sigma must be >= 0")
         if self.feature_channels < 1 or self.feature_cells < 1:
             raise ValueError("feature dimensions must be >= 1")
-
-
-def _is_number(v) -> bool:
-    # Rejects NaN and Infinity, which json.load accepts, and integers beyond float range.
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
-
-
-# The JSON kind each SynthSpec field annotation accepts, and its name for errors.
-_KINDS = {
-    "int": (lambda v: isinstance(v, int) and _is_number(v), "an integer"),
-    "float": (_is_number, "a finite number"),
-    "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
-              "a list of finite numbers"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "true or false"),
-}
+        frames = self.num_videos * self.frames_per_video
+        if frames > _MAX_FRAMES:
+            raise ValueError(f"spec plants {frames} frames, more than {_MAX_FRAMES}")
+        values = frames * self.feature_channels * self.feature_cells**2
+        if self.emit_features and values > _MAX_FEATURE_VALUES:
+            raise ValueError(
+                f"spec emits {values} feature values, more than {_MAX_FEATURE_VALUES}")
 
 
 def spec_from_dict(obj: dict) -> SynthSpec:
     """Build a spec from a parsed JSON object, rejecting unknown or mistyped fields."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"synth spec must be a JSON object, got {type(obj).__name__}")
-    kinds = {f.name: _KINDS[f.type] for f in fields(SynthSpec)}
-    unknown = set(obj) - set(kinds)
-    if unknown:
-        raise ValueError(f"unknown synth spec fields: {sorted(unknown)}")
-    for name, value in obj.items():
-        ok, want = kinds[name]
-        if not ok(value):
-            raise ValueError(f"synth spec field '{name}' must be {want}, got {value!r}")
-    return SynthSpec(**obj)
+    return _from_json_object(SynthSpec, obj, "synth spec")
 
 
 def _lane_geometry(length: int, start: int, speed: float, direction: int,

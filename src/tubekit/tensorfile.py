@@ -63,7 +63,7 @@ def read_tensors(path) -> dict:
             raise TensorFileError(f"{path}: truncated header")
         try:
             entries = json.loads(fh.read(header_len).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise TensorFileError(f"{path}: bad header: {exc}") from None
         if not isinstance(entries, list):
             raise TensorFileError(f"{path}: header must be a list")

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,22 @@ class TestBuiltinConfig:
             '"motion_bins":[0.3,1' + "0" * 400 + '],"motion_offsets":[2]}'
         )
         with pytest.raises(FileFormatError, match=r"cfg\.json:1"):
+            load_config(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("fps", 1.5), ("fps", True), ("fps", "25"),
+        ("class_names", "abc"), ("class_names", [1, 2]),
+        ("name", 5),
+        ("motion_offsets", [2.9]), ("motion_offsets", [True]),
+        ("motion_bins", ["0.3", "0.6"]),
+        ("bogus", 1),
+    ])
+    def test_config_field_of_wrong_kind(self, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        cfg = {"name": "tiny", "fps": 10, "class_names": ["a", "b"],
+               "motion_bins": [0.3, 0.6], "motion_offsets": [2, 4]}
+        path.write_text(json.dumps(dict(cfg, **{field: value})))
+        with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}:1: .*'{field}'"):
             load_config(path)
 
 

@@ -148,11 +148,12 @@ def _assert_same_as_per_field(name, path):
 # mutations of one record
 
 BIG, NEG_BIG = "<1e400>", "<-1e400>"  # written as the bare numbers 1e400 / -1e400
+DEEP = "<deep>"  # written as arrays nested 100,000 deep, past the recursion limit
 
 
 def _mutations(v):
     """Replacements for one value: wrong types, out-of-range numbers, wrong shapes."""
-    out = [3, 0, -1, 24, 10**400, True, False, "1.5", "", 1.5, -0.5, BIG, NEG_BIG,
+    out = [3, 0, -1, 24, 10**400, True, False, "1.5", "", 1.5, -0.5, BIG, NEG_BIG, DEEP,
            None, [], [v], {"k": v}, {}]
     if type(v) is float:
         out.append(int(v))  # an int coordinate or score
@@ -190,7 +191,8 @@ def _lookup(obj, node):
 
 def _text(record):
     return (json.dumps(record, separators=(",", ":"))
-            .replace(json.dumps(BIG), "1e400").replace(json.dumps(NEG_BIG), "-1e400"))
+            .replace(json.dumps(BIG), "1e400").replace(json.dumps(NEG_BIG), "-1e400")
+            .replace(json.dumps(DEEP), "[" * 100_000 + "]" * 100_000))
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))

@@ -51,6 +51,20 @@ class TestSpec:
         with pytest.raises(ValueError):
             SynthSpec(motion_targets=(1.2,))
 
+    def test_planted_frames_bounded(self):
+        SynthSpec(num_videos=1, frames_per_video=10**5)
+        with pytest.raises(ValueError, match="100001 frames"):
+            SynthSpec(num_videos=1, frames_per_video=10**5 + 1)
+
+    def test_feature_values_bounded(self):
+        # 17 frames x 15,790,321 channels x 1 cell is 2**28 + 1 values.
+        big = dict(num_videos=1, frames_per_video=17, feature_channels=15_790_321,
+                   feature_cells=1)
+        SynthSpec(**big)
+        SynthSpec(**dict(big, frames_per_video=16, emit_features=True))
+        with pytest.raises(ValueError, match="268435457 feature values"):
+            SynthSpec(**big, emit_features=True)
+
 
 class TestGenerate:
     def test_deterministic(self, tmp_path):
