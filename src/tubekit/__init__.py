@@ -56,7 +56,14 @@ from .motion import (
     motion_cdf,
     motion_iou,
 )
-from .roialign import FeatureGrid, align_tracks, bilinear_sample, roi_align, spatial_avg_pool
+from .roialign import (
+    FeatureGrid,
+    align_tracks,
+    bilinear_sample,
+    pool_tracks,
+    roi_align,
+    spatial_avg_pool,
+)
 from .synth import SynthSpec, generate
 from .tensorfile import read_tensors, write_tensors
 

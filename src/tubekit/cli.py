@@ -18,7 +18,9 @@ from . import datamodel, filtering, linking, metrics, motion, synth
 from .aggregators import CHANNELS, aspp_forward, tcn_forward, temporal_max_pool
 from .datamodel import builtin_config, load_config, load_json
 from .jsonfmt import dumps
-from .roialign import FeatureGrid, align_tracks, spatial_avg_pool
+# align_tracks and spatial_avg_pool go unused here but stay importable from
+# this module: perfbench's --trace 1 wraps them by name.
+from .roialign import FeatureGrid, align_tracks, pool_tracks, spatial_avg_pool  # noqa: F401
 from .tensorfile import read_tensors, write_tensors
 
 __all__ = ["main"]
@@ -210,9 +212,9 @@ def _cmd_pool_features(args) -> int:
                 f"tracks cover {len(videos)} videos; pick one with --video"
             )
 
-    pooled = spatial_avg_pool(align_tracks(
+    pooled = pool_tracks(
         grid, tracks, output_size=args.output_size, sampling_ratio=args.sampling_ratio
-    ))
+    )
 
     # One forward over all tracks: (N, T, C) -> (N, 1, C).
     if args.tfa == "maxpool":

@@ -77,11 +77,13 @@ class DatasetConfig:
     motion_offsets: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        object.__setattr__(self, "motion_bins", tuple(float(b) for b in self.motion_bins))
-        object.__setattr__(self, "motion_offsets", tuple(int(d) for d in self.motion_offsets))
-        if not 0 < self.fps <= sys.float_info.max:  # offsets in seconds multiply by it
-            raise ValueError("fps must be positive and within float range")
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        _check_kinds(DatasetConfig, values, "config")
+        for name, value in values.items():
+            if isinstance(value, list):
+                object.__setattr__(self, name, tuple(value))
+        if self.fps <= 0:  # its kind keeps it in float range; offsets in seconds multiply by it
+            raise ValueError("fps must be positive")
         if len(self.motion_bins) != 2:
             raise ValueError("motion_bins must hold two thresholds")
         b1, b2 = self.motion_bins
@@ -148,10 +150,10 @@ _KINDS = {
     "float": (_is_number, "a finite number"),
     "tuple": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
               "a list of finite numbers"),
-    "tuple[int, ...]": (lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "tuple[int, ...]": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v)),
                         "a list of integers"),
-    "tuple[str, ...]": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-                        "a list of strings"),
+    "tuple[str, ...]": (lambda v: isinstance(v, (list, tuple))
+                        and all(isinstance(s, str) for s in v), "a list of strings"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
 }
@@ -161,18 +163,42 @@ def _from_json_object(cls, obj, what: str):
     """``cls(**obj)`` for a parsed JSON object whose fields all have their annotated kind."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
-    kinds = {f.name: _KINDS[f.type] for f in fields(cls)}
-    unknown = set(obj) - set(kinds)
+    unknown = set(obj) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {what} fields: {sorted(unknown)}")
     missing = {f.name for f in fields(cls) if f.default is MISSING} - set(obj)
     if missing:
         raise ValueError(f"{what} missing fields: {sorted(missing)}")
-    for name, value in obj.items():
-        ok, want = kinds[name]
-        if not ok(value):
-            raise ValueError(f"{what} field '{name}' must be {want}, got {value!r}")
+    _check_kinds(cls, obj, what)
     return cls(**obj)
+
+
+def _check_kinds(cls, values: dict, what: str) -> None:
+    """Reject the first of ``values`` (field name -> value) not of its field's annotated kind."""
+    types = {f.name: f.type for f in fields(cls)}
+    for name, value in values.items():
+        ok, want = _KINDS[types[name]]
+        if not ok(value):
+            raise ValueError(f"{what} field '{name}' must be {want}, got {_shown(value)}")
+
+
+_MAX_SHOWN = 80  # characters of a bad value's repr that a message quotes
+
+
+def _shown(value) -> str:
+    """A bad value for a message: its repr when short, else its JSON kind and size."""
+    text = repr(value)
+    if len(text) <= _MAX_SHOWN:
+        return text
+    if isinstance(value, (list, tuple)):
+        return f"a list of {len(value)} items"
+    if isinstance(value, dict):
+        return f"an object of {len(value)} fields"
+    if isinstance(value, str):
+        return f"a string of {len(value)} characters"
+    if isinstance(value, int):
+        return f"an integer of {len(text.lstrip('-'))} digits"
+    return f"a value of type {type(value).__name__}"
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,14 @@ __all__ = [
     "bilinear_sample",
     "roi_align",
     "align_tracks",
+    "pool_tracks",
     "spatial_avg_pool",
 ]
+
+# Bound on the weights one ``_bin_weights`` call builds, each float64 with a few
+# temporaries of its size: 8 tracks over 16 frames of 12 cells at P = 7, s = 2
+# need 21,504.
+_MAX_BIN_WEIGHTS = 2**24
 
 
 @dataclass
@@ -82,6 +88,10 @@ def _bin_weights(lo, hi, size: int, p: int, s: int) -> np.ndarray:
         raise ValueError("output_size must be >= 1")
     if s < 1:
         raise ValueError("sampling_ratio must be >= 1")
+    weights = np.size(lo) * p * s * size
+    if weights > _MAX_BIN_WEIGHTS:
+        raise ValueError(f"output_size {p} with sampling_ratio {s} needs {weights} bin "
+                         f"weights, more than {_MAX_BIN_WEIGHTS}")
     lo, hi = lo[..., None, None], hi[..., None, None]
     steps = np.arange(p)[:, None] + (np.arange(s) + 0.5) / s
     pos = (lo + steps * ((hi - lo) / p))[..., None]
@@ -113,15 +123,13 @@ def roi_align(grid: np.ndarray, box: Box, spatial_stride: float,
     return wy @ g @ wx.T
 
 
-def align_tracks(features: FeatureGrid, tracks, output_size: int = 7,
-                 sampling_ratio: int = 2) -> np.ndarray:
-    """Pool clip features along each track: returns (n_tracks, T, C, P, P).
+def _track_weights(features: FeatureGrid, tracks, output_size: int, sampling_ratio: int):
+    """Bin weights of every track at every clip frame: wy (N, T, P, H) and wx (N, T, P, W).
 
-    Track frames index the clip window [0, T). Where a track is shorter
-    than the clip, its first/last box is replicated outward in time. A
-    track entirely outside the window is an error.
+    Boxes are gathered and checked against the clip window as ``align_tracks``
+    describes.
     """
-    T, c, h, w = features.values.shape
+    T, _, h, w = features.values.shape
     boxes = np.empty((len(tracks), T, 4), dtype=np.float64)
     for n, tr in enumerate(tracks):
         geo = tr.geometry
@@ -132,16 +140,48 @@ def align_tracks(features: FeatureGrid, tracks, output_size: int = 7,
             )
         boxes[n] = geo.boxes[np.clip(np.arange(T) - geo.start_frame, 0, len(geo) - 1)]
     x1, y1, x2, y2 = np.moveaxis(boxes / features.spatial_stride - 0.5, -1, 0)
-    wx = _bin_weights(x1, x2, w, output_size, sampling_ratio).swapaxes(-1, -2)
-    wy = _bin_weights(y1, y2, h, output_size, sampling_ratio)
+    return (_bin_weights(y1, y2, h, output_size, sampling_ratio),
+            _bin_weights(x1, x2, w, output_size, sampling_ratio))
+
+
+def align_tracks(features: FeatureGrid, tracks, output_size: int = 7,
+                 sampling_ratio: int = 2) -> np.ndarray:
+    """Pool clip features along each track: returns (n_tracks, T, C, P, P).
+
+    Track frames index the clip window [0, T). Where a track is shorter
+    than the clip, its first/last box is replicated outward in time. A
+    track entirely outside the window is an error.
+    """
+    T, c = features.values.shape[:2]
+    wy, wx = _track_weights(features, tracks, output_size, sampling_ratio)
+    wx = wx.swapaxes(-1, -2)
     out = np.empty((len(tracks), T, c, output_size, output_size), dtype=np.float64)
     # One frame at a time for all tracks: a whole-clip contraction would hold
     # an (N, T, C, P, W) float64 temporary. Casting the frame once and writing
-    # into `out` keeps per-frame temporaries to one (N, C, P, W) block; with
-    # matmul's own cast and a result copy, pool-features' peak RSS rose 9%.
+    # into `out` keeps per-frame temporaries to one (N, C, P, W) block.
     for f in range(T):
         frame = features.values[f].astype(np.float64)
         np.matmul(wy[:, f, None] @ frame, wx[:, f, None], out=out[:, f])
+    return out
+
+
+def pool_tracks(features: FeatureGrid, tracks, output_size: int = 7,
+                sampling_ratio: int = 2) -> np.ndarray:
+    """``spatial_avg_pool(align_tracks(...))`` without the bins: returns (n_tracks, T, C).
+
+    The mean of wy @ F @ wx.T over its P x P bins is mean(wy) @ F @ mean(wx).T,
+    so each track and frame needs one averaged (H, W) kernel, and each frame
+    one GEMM of every track's kernel against the (C, H * W) features. The
+    result matches the per-bin path to float64 rounding.
+    """
+    T, c, h, w = features.values.shape
+    wy, wx = _track_weights(features, tracks, output_size, sampling_ratio)
+    kernels = wy.mean(axis=-2)[..., :, None] * wx.mean(axis=-2)[..., None, :]
+    kernels = kernels.reshape(len(tracks), T, h * w)
+    out = np.empty((len(tracks), T, c), dtype=np.float64)
+    for f in range(T):
+        frame = features.values[f].reshape(c, h * w).astype(np.float64)
+        np.matmul(kernels[:, f], frame.T, out=out[:, f])
     return out
 
 

@@ -258,6 +258,41 @@ class TestPoolFeaturesCommand:
         )
         assert read_tensors(pooled)["aggregated"].shape == (2, 576)
 
+    def test_track_features_are_mean_of_aligned_bins(self, feature_fixture, tmp_path):
+        out = feature_fixture / "synth"
+        features = out / "features" / "v000.tkt"
+        pooled = tmp_path / "pooled.tkt"
+        run_cli("pool-features", "--features", features, "--tracks", out / "tracks.ndjson",
+                "--tfa", "maxpool", "--out", pooled)
+        store = read_tensors(features)
+        grid = FeatureGrid(store["features"], float(store["spatial_stride"][0]))
+        expected = spatial_avg_pool(align_tracks(grid, load_tracks(out / "tracks.ndjson")))
+        got = read_tensors(pooled)["track_features"]
+        assert got.dtype == np.float32 and got.shape == expected.shape == (2, 8, 576)
+        assert got.tobytes() == expected.astype(np.float32).tobytes()
+
+    def test_output_size_needs_no_bins(self, feature_fixture, tmp_path):
+        # 3000 x 3000 bins per track, frame and channel would be 0.6 TiB of float64.
+        out = feature_fixture / "synth"
+        pooled = tmp_path / "pooled.tkt"
+        run_cli("pool-features", "--features", out / "features" / "v000.tkt",
+                "--tracks", out / "tracks.ndjson", "--tfa", "maxpool",
+                "--output-size", "3000", "--out", pooled)
+        assert read_tensors(pooled)["track_features"].shape == (2, 8, 576)
+
+    def test_track_outside_clip_window(self, feature_fixture, tmp_path):
+        out = feature_fixture / "synth"
+        tracks = tmp_path / "tracks.ndjson"
+        tracks.write_text('{"schema":"tubekit.track.v1"}\n'
+                          '{"video":"v000","track":"late","start":8,"boxes":[[0,0,9,9]]}\n')
+        proc = run_cli("pool-features", "--features", out / "features" / "v000.tkt",
+                       "--tracks", tracks, "--tfa", "maxpool", "--out", tmp_path / "x.tkt",
+                       check=False)
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == (
+            "error: track ('v000', 'late') covers frames [8, 8], "
+            "outside the clip window [0, 8)\n")
+
     @pytest.mark.parametrize("tfa", ["maxpool", "tcn", "aspp"])
     def test_aggregated_rows_are_per_track_forwards(self, feature_fixture, tmp_path, tfa):
         out = feature_fixture / "synth"
@@ -392,6 +427,18 @@ class TestMalformedInputErrors:
                        "--tfa", "maxpool", "--out", tmp_path / "x.tkt", check=False)
         self.assert_error(proc, f"{bad}: tensor 'features' has a bad shape")
         assert len(proc.stderr.decode().splitlines()) == 1
+
+    @pytest.mark.parametrize("flag, weights", [
+        ("--output-size", "output_size 100000 with sampling_ratio 2 needs 19200000"),
+        ("--sampling-ratio", "output_size 7 with sampling_ratio 100000 needs 67200000"),
+    ], ids=["output-size", "sampling-ratio"])
+    def test_pool_features_size_beyond_weight_bound(self, feature_fixture, tmp_path,
+                                                    flag, weights):
+        out = feature_fixture / "synth"
+        proc = run_cli("pool-features", "--features", out / "features" / "v000.tkt",
+                       "--tracks", out / "tracks.ndjson", "--tfa", "maxpool", flag, "100000",
+                       "--out", tmp_path / "x.tkt", check=False)
+        self.assert_error(proc, f"{weights} bin weights, more than 16777216")
 
     @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e309:1", "nan:1:0.1"])
     @pytest.mark.parametrize("command", ["eval-videos", "motion-cdf"])

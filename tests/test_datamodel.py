@@ -54,6 +54,20 @@ class TestBuiltinConfig:
         with pytest.raises(ValueError):
             DatasetConfig("x", 25, ("a",), (0.0, 0.4), (4,))
 
+    @pytest.mark.parametrize("args, message", [
+        (("x", 25, "abc", ("0.3", "0.6"), (2.9, True)),
+         "config field 'class_names' must be a list of strings, got 'abc'"),
+        (("x", 25.5, ("a",), (0.3, 0.6), (4,)), "config field 'fps' must be an integer, got 25.5"),
+    ], ids=["converted", "fps-25.5"])
+    def test_fields_checked_not_converted(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            DatasetConfig(*args)
+
+    def test_lists_stored_as_tuples(self):
+        cfg = DatasetConfig("x", 25, ["a", "b"], [0.3, 0.6], [2, 4])
+        assert (cfg.class_names, cfg.motion_bins, cfg.motion_offsets) == (
+            ("a", "b"), (0.3, 0.6), (2, 4))
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(
@@ -94,6 +108,21 @@ class TestBuiltinConfig:
         path.write_text(json.dumps(dict(cfg, **{field: value})))
         with pytest.raises(FileFormatError, match=rf"^{re.escape(str(path))}:1: .*'{field}'"):
             load_config(path)
+
+    @pytest.mark.parametrize("value, shown", [
+        (29.97, "29.97"),
+        ("x" * 100, "a string of 100 characters"),
+        (list(range(200_000)), "a list of 200000 items"),
+    ], ids=["short", "long-string", "long-list"])
+    def test_bad_value_shown_short(self, tmp_path, value, shown):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"name": "tiny", "fps": value, "class_names": ["a"],
+                                    "motion_bins": [0.3, 0.6], "motion_offsets": [2]}))
+        with pytest.raises(FileFormatError) as info:
+            load_config(path)
+        message = str(info.value)
+        assert message == f"{path}:1: config field 'fps' must be an integer, got {shown}"
+        assert len(message) - len(str(path)) < 120
 
 
 def _gt_fixture():

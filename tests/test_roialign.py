@@ -4,6 +4,7 @@ import pytest
 from tubekit.datamodel import Track
 from tubekit.geometry import Box, TubeGeometry
 from tubekit.roialign import (
+    _MAX_BIN_WEIGHTS,
     FeatureGrid,
     align_tracks,
     bilinear_sample,
@@ -102,6 +103,12 @@ class TestRoiAlign:
             roi_align(grid, Box(0, 0, 1, 1), 16.0, sampling_ratio=0)
         with pytest.raises(ValueError):
             roi_align(grid, Box(0, 0, 1, 1), 0.0)
+
+    def test_bin_weights_bounded_before_allocation(self):
+        n = _MAX_BIN_WEIGHTS + 1  # one box on a one-cell grid
+        with pytest.raises(ValueError, match=f"output_size {n} with sampling_ratio 1 needs {n} "
+                                             f"bin weights, more than {_MAX_BIN_WEIGHTS}"):
+            roi_align(np.zeros((1, 1, 1)), Box(0, 0, 1, 1), 16.0, output_size=n, sampling_ratio=1)
 
 
 def make_track(video, track_id, start, boxes):

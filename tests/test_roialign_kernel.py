@@ -4,7 +4,9 @@
 of sampling the grid point by point, so they sum in another order than
 ``oracles.naive_roi_align``. Grid values lie in [-1, 1) and each bin's weights
 sum to at most 1, so the two agree to a few float64 rounding steps; ATOL
-leaves two orders of magnitude of room above that.
+leaves two orders of magnitude of room above that. ``pool_tracks`` averages
+the weights before contracting, so it too sums in another order than its
+reference, the bin mean of ``align_tracks``, and is held to the same ATOL.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from tubekit.datamodel import Track
 from tubekit.geometry import Box, TubeGeometry
-from tubekit.roialign import FeatureGrid, align_tracks, roi_align
+from tubekit.roialign import FeatureGrid, align_tracks, pool_tracks, roi_align, spatial_avg_pool
 
 from oracles import naive_roi_align
 
@@ -58,13 +60,13 @@ class TestRoiAlign:
 
 
 @st.composite
-def clips(draw):
-    """A (T, C, H, W) clip and 2-5 tracks that start late, end early or overhang."""
-    T = draw(st.integers(2, 5))
+def clips(draw, frames=(2, 5), num_tracks=(2, 5)):
+    """A (T, C, H, W) clip and tracks that start late, end early or overhang."""
+    T = draw(st.integers(*frames))
     shape = (T, draw(st.integers(1, 2)), draw(st.integers(1, CELLS)),
              draw(st.integers(1, CELLS)))
     tracks = []
-    for n in range(draw(st.integers(2, 5))):
+    for n in range(draw(st.integers(*num_tracks))):
         start = draw(st.integers(0, T - 1))
         rows = draw(st.lists(box_rows(), min_size=1, max_size=T + 1))
         tracks.append(Track("v", f"k{n}", TubeGeometry(start, rows)))
@@ -85,3 +87,21 @@ class TestAlignTracks:
                 box = geo.box_at(min(max(f, geo.start_frame), geo.end_frame))
                 ref = naive_roi_align(features.values[f], box, STRIDE, p, s)
                 assert np.abs(got[n, f] - ref).max() <= ATOL
+
+
+class TestPoolTracks:
+    """The bin-averaged pool against the per-bin path it stands in for."""
+
+    @given(clips(frames=(1, 8), num_tracks=(1, 4)), st.integers(1, 7), st.integers(1, 3))
+    @example((0, (8, 2, 4, 5), [
+        Track("v", "late-short-degenerate", TubeGeometry(6, [(24.0, 24.0, 24.0, 24.0)])),
+        Track("v", "off-grid", TubeGeometry(0, [(-200.0, -90.0, -100.0, -10.0)] * 3)),
+        Track("v", "partly-outside", TubeGeometry(2, [(-40.0, 30.0, 50.0, 120.0)] * 9)),
+    ]), 7, 3)
+    def test_matches_mean_of_aligned_bins(self, clip, p, s):
+        seed, shape, tracks = clip
+        features = FeatureGrid(random_values(seed, shape), STRIDE)
+        got = pool_tracks(features, tracks, output_size=p, sampling_ratio=s)
+        ref = spatial_avg_pool(align_tracks(features, tracks, output_size=p, sampling_ratio=s))
+        assert got.shape == ref.shape == (len(tracks), *shape[:2])
+        assert np.abs(got - ref).max() <= ATOL
