@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .datamodel import ActionTube
 from .geometry import TubeGeometry, iou2d
 
@@ -46,8 +48,8 @@ class TrimParams:
     min_segment_length: int = 4
 
     def __post_init__(self):
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be >= 0")
+        if not self.alpha >= 0.0:  # NaN fails this too
+            raise ValueError(f"alpha must be >= 0, got {self.alpha}")
         if self.min_segment_length < 1:
             raise ValueError("min_segment_length must be >= 1")
 
@@ -203,6 +205,79 @@ def trim_path(frame_scores, params: TrimParams | None = None) -> list:
     return segments
 
 
+def _trim_columns(matrices, params: TrimParams) -> list:
+    """``trim_path`` on every column of every (T, K) score matrix, in one pass over time.
+
+    Returns every kept segment as a (matrix index, column, start, end) tuple,
+    in ascending order. The matrices are grouped longest first, a group
+    closing when the next is shorter than half its longest, and each group's
+    columns are padded to its longest from row 0: a group holds at most twice
+    its real cells, and the steps stay under twice the longest matrix. The
+    comparisons are ``trim_path``'s ``>=`` rules written as their complements,
+    on the same float operations, so ties break the same way.
+    """
+    a = params.alpha
+    groups = []
+    for i in sorted(range(len(matrices)), key=lambda i: -len(matrices[i])):
+        if groups and 2 * len(matrices[i]) >= len(matrices[groups[-1][0]]):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+
+    found = []
+    for group in groups:
+        widths = [matrices[i].shape[1] for i in group]
+        offsets = np.cumsum([0] + widths)
+        n, k = len(matrices[group[0]]), offsets[-1]
+        scores = np.zeros((n, k))
+        ends = {}  # last row -> the range of columns that end on it
+        for i, lo, hi in zip(group, offsets, offsets[1:]):
+            last = len(matrices[i]) - 1
+            scores[: last + 1, lo:hi] = matrices[i]
+            ends[last] = (ends.get(last, (lo,))[0], hi)
+
+        back0 = np.empty((n, k), bool)
+        back1 = np.empty((n, k), bool)
+        final = np.empty(k, bool)
+        prev0, prev1 = 1.0 - scores[0], scores[0]
+        for t in range(n):
+            if t:
+                switch_to0 = prev1 - a
+                switch_to1 = prev0 - a
+                np.greater(switch_to0, prev0, out=back0[t])
+                np.greater(prev1, switch_to1, out=back1[t])
+                prev0, prev1 = ((1.0 - scores[t]) + np.maximum(prev0, switch_to0),
+                                scores[t] + np.maximum(switch_to1, prev1))
+            if t in ends:
+                lo, hi = ends[t]
+                final[lo:hi] = prev1[lo:hi] > prev0[lo:hi]
+
+        # Rows 0 and n + 1 stay 0, so every run of 1 has a rising and a falling edge.
+        # Rows past a column's end come out 0 as well: its padded scores are 0
+        # there, so from the second padded row on, the best path into label 0
+        # never comes from label 1.
+        labels = np.zeros((n + 2, k), bool)
+        label = np.zeros(k, bool)
+        for t in range(n - 1, -1, -1):
+            if t in ends:
+                lo, hi = ends[t]
+                label[lo:hi] = final[lo:hi]
+            labels[t + 1] = label
+            if t:
+                label = np.where(label, back1[t], back0[t])
+
+        edges = np.diff(labels.view(np.int8), axis=0).T
+        column, start = np.nonzero(edges == 1)
+        stop = np.nonzero(edges == -1)[1]
+        keep = stop - start >= params.min_segment_length
+        column = column[keep]
+        owner = np.repeat(group, widths)
+        local = np.arange(k) - np.repeat(offsets[:-1], widths)
+        found += zip(owner[column].tolist(), local[column].tolist(),
+                     start[keep].tolist(), (stop[keep] - 1).tolist())
+    return sorted(found)
+
+
 def build_tubes(detections, link_params: LinkParams | None = None,
                 trim_params: TrimParams | None = None, jobs: int = 1) -> list:
     """Link then trim one or more videos' detections into action tubes.
@@ -240,7 +315,7 @@ def tracks_to_tubes(tracks, track_scores, trim_params: TrimParams | None = None,
     if not isinstance(track_scores, dict):
         track_scores = {ts.key: ts for ts in track_scores}
 
-    out = []
+    checked = []
     for tr in tracks:
         ts = track_scores.get(tr.key)
         if ts is None:
@@ -251,11 +326,13 @@ def tracks_to_tubes(tracks, track_scores, trim_params: TrimParams | None = None,
                 f"[{ts.start_frame}, {ts.start_frame + len(ts.scores) - 1}], track covers "
                 f"[{tr.geometry.start_frame}, {tr.geometry.end_frame}]"
             )
-        for c in range(ts.scores.shape[1]):
-            column = [float(v) for v in ts.scores[:, c]]
-            for s, e in trim_path(column, trim_params):
-                out.append(ActionTube(
-                    tr.video_id, c, tr.geometry.slice(s, e), column[s : e + 1]
-                ))
+        checked.append((tr, ts.scores))
+
+    out = []
+    for i, c, s, e in _trim_columns([scores for _, scores in checked], trim_params):
+        tr, scores = checked[i]
+        out.append(ActionTube(
+            tr.video_id, c, tr.geometry.slice(s, e), scores[s : e + 1, c].tolist()
+        ))
     out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
     return out

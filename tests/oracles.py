@@ -520,6 +520,32 @@ def count_changes(labels):
     return sum(1 for a, b in zip(labels, labels[1:]) if a != b)
 
 
+# The per-column trim loop, kept as the reference for exact equality
+#
+# This is ``tracks_to_tubes`` as tubekit shipped it before the batched DP:
+# one scalar ``trim_path`` call per (track, class) column, each column first
+# converted to a list of floats. It shares ``trim_path`` and the result
+# types with the package, because it checks tie-breaking, emit order and
+# tube scores to the bit.
+
+
+def reference_tracks_to_tubes(tracks, track_scores, trim_params):
+    from tubekit.datamodel import ActionTube
+    from tubekit.linking import trim_path
+
+    out = []
+    for tr in tracks:
+        ts = track_scores[tr.key]
+        for c in range(ts.scores.shape[1]):
+            column = [float(v) for v in ts.scores[:, c]]
+            for s, e in trim_path(column, trim_params):
+                out.append(ActionTube(
+                    tr.video_id, c, tr.geometry.slice(s, e), column[s : e + 1]
+                ))
+    out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # convolution
 

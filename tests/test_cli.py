@@ -490,6 +490,21 @@ class TestMalformedInputErrors:
                        "--offset-seconds", "0.001", "--out", tmp_path / "cdf.csv")
         assert "too short for offset 1)" in proc.stdout.decode()
 
+    @pytest.mark.parametrize("command", ["build-tubes", "trim-tracks"])
+    def test_nan_alpha(self, fixture_dir, tmp_path, command):
+        synth = fixture_dir / "synth"
+        if command == "build-tubes":
+            inputs = ("--det", synth / "detections.ndjson")
+        else:
+            scores = tmp_path / "scores.ndjson"
+            scores.write_text('{"schema":"tubekit.trackscores.v1"}\n')
+            inputs = ("--tracks", synth / "tracks.ndjson", "--scores", scores)
+        out = tmp_path / "tubes.ndjson"
+        proc = run_cli(command, *inputs, "--alpha", "nan", "--out", out, check=False)
+        assert (proc.returncode, proc.stderr.decode()) == (1, "error: alpha must be >= 0, "
+                                                              "got nan\n")
+        assert not out.exists()
+
     def test_spec_not_utf8_names_its_line(self, tmp_path):
         spec = tmp_path / "s.json"
         spec.write_bytes(b'{\n"seed": 1,\n"dataset": "\xff"}\n')

@@ -226,6 +226,16 @@ class TestTrimPath:
         with pytest.raises(ValueError):
             trim_path([0.5, 1.2], TrimParams())
 
+    @pytest.mark.parametrize("alpha", [-0.5, float("nan")])
+    def test_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be >= 0, got {alpha}"):
+            TrimParams(alpha=alpha)
+
+    def test_infinite_alpha_never_switches(self):
+        p = TrimParams(alpha=float("inf"), min_segment_length=1)
+        assert trim_path([0.9, 0.9, 0.1], p) == [(0, 2)]
+        assert trim_path([0.1, 0.9, 0.1], p) == []
+
     def test_exhaustive_energy_equality(self):
         rng = np.random.default_rng(53)
         params = TrimParams(alpha=0.5, min_segment_length=1)
