@@ -179,8 +179,8 @@ def _cmd_filter_dets(args) -> int:
         sys.stderr.write("warning: no tracks; every detection will be dropped\n")
     kept = filtering.filter_by_tracks(dets, tracks, args.match_iou, args.score_thresh)
     datamodel.save_detections(kept, args.out)
-    before = sum(len(fd.entries) for fd in dets)
-    after = sum(len(fd.entries) for fd in kept)
+    before = sum(len(fd.scores) for fd in dets)
+    after = sum(len(fd.scores) for fd in kept)
     sys.stdout.write(f"kept {after} of {before} detections\n")
     return 0
 

@@ -12,11 +12,13 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import accumulate, chain
+from operator import itemgetter
 
 import numpy as np
 
 from .geometry import Box, TubeGeometry
-from .jsonfmt import dumps
+from .jsonfmt import dumps, without_negative_zero
 
 __all__ = [
     "GT_SCHEMA",
@@ -205,6 +207,9 @@ def _shown(value) -> str:
 # record types
 
 
+_CLASS_LIMIT = 2**63  # detection class ids are stored as int64
+
+
 @dataclass(frozen=True)
 class Detection:
     box: Box
@@ -214,21 +219,99 @@ class Detection:
     def __post_init__(self):
         if self.class_id < 0:
             raise ValueError(f"class id must be >= 0, got {self.class_id}")
+        if self.class_id >= _CLASS_LIMIT:
+            raise ValueError(f"class id must be below 2**63, got {self.class_id}")
         if not 0.0 <= self.score <= 1.0:  # NaN fails too
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
 
-@dataclass
 class FrameDetections:
-    """Scored per-class box proposals for one frame of one video."""
+    """Scored per-class box proposals for one frame of one video.
 
-    video_id: str
-    frame: int
-    entries: list
+    Held as three read-only columns, row i being one detection: ``boxes``
+    (n, 4) float64 in (x1, y1, x2, y2) order, ``class_ids`` (n,) int64 and
+    ``scores`` (n,) float64. ``entries``, the same detections as a list of
+    :class:`Detection`, is built on first read; every function reads the
+    columns, so changing that list does not change them. Compares, prints
+    and refuses hashing as a dataclass of ``(video_id, frame, entries)`` would.
+    """
 
-    def __post_init__(self):
-        if self.frame < 0:
-            raise ValueError(f"frame must be >= 0, got {self.frame}")
+    __slots__ = ("video_id", "frame", "boxes", "class_ids", "scores", "_entries")
+    __hash__ = None
+
+    def __init__(self, video_id: str, frame: int, entries: list):
+        rows = [(d.box.x1, d.box.y1, d.box.x2, d.box.y2, d.class_id, d.score) for d in entries]
+        self._fill(video_id, frame, *_table(rows, len(rows)))
+        self._entries = entries
+
+    def _fill(self, video_id, frame, boxes, class_ids, scores) -> None:
+        if frame < 0:
+            raise ValueError(f"frame must be >= 0, got {frame}")
+        self.video_id = video_id
+        self.frame = frame
+        self.boxes = boxes
+        self.class_ids = class_ids
+        self.scores = scores
+        self._entries = None
+
+    @property
+    def entries(self) -> list:
+        if self._entries is None:
+            self._entries = [
+                Detection(Box(*box), c, s) for box, c, s in
+                zip(self.boxes.tolist(), self.class_ids.tolist(), self.scores.tolist())
+            ]
+        return self._entries
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.video_id, self.frame, self.entries) == \
+            (other.video_id, other.frame, other.entries)
+
+    def __repr__(self) -> str:
+        return (f"FrameDetections(video_id={self.video_id!r}, frame={self.frame!r}, "
+                f"entries={self.entries!r})")
+
+
+# One detection row: four corners, class and score, eight bytes each, so that
+# a table of rows reads as an (n, 6) float64 array and as an int64 one.
+_DET_ROW = np.dtype([("x1", "f8"), ("y1", "f8"), ("x2", "f8"), ("y2", "f8"),
+                     ("class", "i8"), ("score", "f8")])
+
+
+def _table(rows, n: int) -> tuple:
+    """Read-only ``(boxes, class_ids, scores)`` columns of ``n`` checked detection rows."""
+    table = np.fromiter(map(tuple, rows), dtype=_DET_ROW, count=n)
+    table.setflags(write=False)
+    floats = table.view(np.float64).reshape(n, 6)
+    return floats[:, :4], table.view(np.int64)[4::6], floats[:, 5]
+
+
+def _columns(frames) -> tuple:
+    """The ``(boxes, class_ids, scores)`` columns of a list of frames, concatenated in order."""
+    if not frames:
+        return np.empty((0, 4)), np.empty(0, np.int64), np.empty(0)
+    return (np.concatenate([fd.boxes for fd in frames]),
+            np.concatenate([fd.class_ids for fd in frames]),
+            np.concatenate([fd.scores for fd in frames]))
+
+
+def _split_frames(keys, boxes, class_ids, scores, counts) -> list:
+    """A frame per (video, frame) key, holding the next ``counts`` rows of the columns.
+
+    The columns are made read-only, and each frame holds views of them.
+    """
+    for column in (boxes, class_ids, scores):
+        column.setflags(write=False)
+    out = []
+    lo = 0
+    for (video, frame), hi in zip(keys, accumulate(counts)):
+        fd = object.__new__(FrameDetections)
+        fd._fill(video, frame, boxes[lo:hi], class_ids[lo:hi], scores[lo:hi])
+        out.append(fd)
+        lo = hi
+    return out
 
 
 @dataclass
@@ -464,7 +547,6 @@ def _typed_scores(v, n):
 def _typed_dets(v, num_classes):
     if type(v) is not list:
         return None
-    entries = []
     try:
         for x1, y1, x2, y2, c, s in v:
             # -inf < x1 <= x2 < inf holds only for finite, ordered corners.
@@ -473,10 +555,9 @@ def _typed_dets(v, num_classes):
                     and -_INF < x1 <= x2 < _INF and -_INF < y1 <= y2 < _INF
                     and 0 <= c < num_classes and 0.0 <= s <= 1.0):
                 return None
-            entries.append(_detection(x1, y1, x2, y2, c, s))
     except (TypeError, ValueError):
         return None
-    return entries
+    return v
 
 
 def _typed_matrix(v, width):
@@ -493,22 +574,6 @@ def _typed_matrix(v, width):
             if type(s) is not float or not 0.0 <= s <= 1.0:
                 return None
     return v
-
-
-def _detection(x1, y1, x2, y2, class_id, score) -> Detection:
-    """``Detection(Box(x1, y1, x2, y2), class_id, score)`` for values a typed pass accepted."""
-    box = object.__new__(Box)
-    attrs = box.__dict__
-    attrs["x1"] = x1
-    attrs["y1"] = y1
-    attrs["x2"] = x2
-    attrs["y2"] = y2
-    det = object.__new__(Detection)
-    attrs = det.__dict__
-    attrs["box"] = box
-    attrs["class_id"] = class_id
-    attrs["score"] = score
-    return det
 
 
 def _get_boxes(obj, key="boxes") -> np.ndarray:
@@ -543,13 +608,14 @@ def _get_scores(obj, key, expected_len) -> list:
 
 
 def _get_dets(obj, config) -> list:
+    """The 'dets' rows, each ``[x1, y1, x2, y2, class, score]`` of checked values."""
     dets = obj["dets"]
-    entries = _typed_dets(dets, _INF if config is None else config.num_classes)
-    if entries is not None:
-        return entries
+    rows = _typed_dets(dets, _CLASS_LIMIT if config is None else config.num_classes)
+    if rows is not None:
+        return rows
     if not isinstance(dets, list):
         raise ValueError("field 'dets' must be a list")
-    entries = []
+    rows = []
     for i, row in enumerate(dets):
         if not isinstance(row, list) or len(row) != 6:
             raise ValueError(f"dets[{i}] must be [x1,y1,x2,y2,class,score]")
@@ -557,11 +623,14 @@ def _get_dets(obj, config) -> list:
         if isinstance(row[4], bool) or not isinstance(row[4], int) or row[4] < 0:
             raise ValueError(f"dets[{i}] class must be an integer >= 0")
         _check_class(row[4], config)
+        if row[4] >= _CLASS_LIMIT:
+            raise ValueError(f"dets[{i}] class must be below 2**63, got {_shown(row[4])}")
         score = _get_number(row[5], f"dets[{i}] score")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"dets[{i}] score {score} outside [0, 1]")
-        entries.append(Detection(Box(*coords), row[4], score))
-    return entries
+        box = Box(*coords)
+        rows.append((box.x1, box.y1, box.x2, box.y2, row[4], score))
+    return rows
 
 
 def _get_matrix(obj, width) -> list:
@@ -645,7 +714,10 @@ def save_ground_truth(tubes, path) -> None:
 
 
 def load_detections(path, config: DatasetConfig | None = None) -> list:
-    """Load per-frame detections, sorted by (video, frame)."""
+    """Load per-frame detections, sorted by (video, frame).
+
+    The frames hold slices of one table of all the file's detections.
+    """
     seen = set()
 
     def parse(obj):
@@ -655,21 +727,30 @@ def load_detections(path, config: DatasetConfig | None = None) -> list:
         if (video, frame) in seen:
             raise ValueError(f"duplicate frame {frame} in video '{video}'")
         seen.add((video, frame))
-        return FrameDetections(video, frame, _get_dets(obj, config))
+        return (video, frame), _get_dets(obj, config)
 
-    frames = _load_records(path, DET_SCHEMA, parse)
-    frames.sort(key=lambda fd: (fd.video_id, fd.frame))
-    return frames
+    records = _load_records(path, DET_SCHEMA, parse)
+    records.sort(key=itemgetter(0))
+    counts = [len(rows) for _, rows in records]
+    columns = _table(chain.from_iterable(rows for _, rows in records), sum(counts))
+    return _split_frames([key for key, _ in records], *columns, counts)
 
 
 def save_detections(frames, path) -> None:
+    frames = sorted(frames, key=lambda fd: (fd.video_id, fd.frame))
+    boxes, class_ids, scores = _columns(frames)
+    rows = [
+        f"[{x1:.6f},{y1:.6f},{x2:.6f},{y2:.6f},{c},{s:.6f}]"
+        for (x1, y1, x2, y2), c, s in zip(boxes.tolist(), class_ids.tolist(), scores.tolist())
+    ]
+    videos = {v: dumps(v) for v in {fd.video_id for fd in frames}}
     lines = []
-    for fd in sorted(frames, key=lambda fd: (fd.video_id, fd.frame)):
-        dets = [
-            [d.box.x1, d.box.y1, d.box.x2, d.box.y2, int(d.class_id), d.score]
-            for d in fd.entries
-        ]
-        lines.append(dumps({"video": fd.video_id, "frame": int(fd.frame), "dets": dets}))
+    lo = 0
+    for fd in frames:
+        hi = lo + len(fd.scores)
+        dets = without_negative_zero(",".join(rows[lo:hi]))
+        lines.append(f'{{"video":{videos[fd.video_id]},"frame":{int(fd.frame)},"dets":[{dets}]}}')
+        lo = hi
     _write_lines(path, DET_SCHEMA, lines)
 
 

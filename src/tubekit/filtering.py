@@ -8,9 +8,11 @@ evaluation with spurious positives.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
-from .datamodel import FrameDetections
+from .datamodel import _columns, _split_frames
 from .geometry import box_iou
 
 __all__ = ["filter_by_tracks"]
@@ -29,29 +31,34 @@ def filter_by_tracks(detections, tracks, match_iou: float = 0.5,
     if not 0.0 <= score_thresh <= 1.0:
         raise ValueError(f"score_thresh {score_thresh} outside [0, 1]")
 
-    track_idx, track_rows = {}, []          # (video, frame) -> indices into track_rows
+    track_rows = {}                         # (video, frame) -> rows of track_boxes
+    n = 0
     for tr in tracks:
-        geo = tr.geometry
-        for frame, row in enumerate(geo.boxes.tolist(), start=geo.start_frame):
-            track_idx.setdefault((tr.video_id, frame), []).append(len(track_rows))
-            track_rows.append(row)
+        start = tr.geometry.start_frame
+        for i in range(len(tr.geometry)):
+            track_rows.setdefault((tr.video_id, start + i), []).append(n + i)
+        n += len(tr.geometry)
+    track_boxes = np.concatenate([np.empty((0, 4))] + [tr.geometry.boxes for tr in tracks])
 
-    # Every (detection, track box) pair on a shared frame, scored by one box_iou call.
-    cands = [[d for d in fd.entries if d.score >= score_thresh] for fd in detections]
-    det_rows, pair_det, pair_trk = [], [], []
-    for fd, ds in zip(detections, cands):
-        idx = track_idx.get((fd.video_id, fd.frame), [])
-        for d in ds:
-            pair_det += [len(det_rows)] * len(idx)
-            pair_trk += idx
-            det_rows.append((d.box.x1, d.box.y1, d.box.x2, d.box.y2))
-    pair_det = np.array(pair_det, dtype=np.intp)
-    ious = box_iou(np.array(det_rows).reshape(-1, 4)[pair_det],
-                   np.array(track_rows).reshape(-1, 4)[np.array(pair_trk, dtype=np.intp)])
-    on_track = np.zeros(len(det_rows), dtype=bool)
-    on_track[pair_det[ious >= match_iou]] = True
-    hits = iter(on_track.tolist())
-    return [
-        FrameDetections(fd.video_id, fd.frame, [d for d in ds if next(hits)])
-        for fd, ds in zip(detections, cands)
-    ]
+    # Every (candidate, track box) pair on a shared frame, scored by one box_iou
+    # call: detection i pairs with the rows on_frame[frame_of[i]] of track_boxes.
+    detections = list(detections)
+    boxes, class_ids, scores = _columns(detections)
+    counts = [len(fd.scores) for fd in detections]
+    on_frame = [track_rows.get((fd.video_id, fd.frame), ()) for fd in detections]
+    frame_of = np.repeat(np.arange(len(detections)), counts)
+    sizes = np.array([len(rows) for rows in on_frame], dtype=np.intp)
+    firsts = np.cumsum(sizes) - sizes
+    pairs = np.where(scores >= score_thresh, sizes[frame_of], 0)
+    pair_det = np.repeat(np.arange(len(scores)), pairs)
+    within = np.arange(len(pair_det)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+    pair_trk = np.fromiter(chain.from_iterable(on_frame), np.intp)[
+        firsts[frame_of[pair_det]] + within]
+    ious = box_iou(boxes[pair_det], track_boxes[pair_trk])
+    keep = np.zeros(len(scores), dtype=bool)
+    keep[pair_det[ious >= match_iou]] = True
+
+    kept_before = np.concatenate([[0], np.cumsum(keep)])    # kept rows before row i
+    kept = np.diff(kept_before[np.cumsum([0] + counts)])   # kept rows per frame
+    return _split_frames([(fd.video_id, fd.frame) for fd in detections],
+                         boxes[keep], class_ids[keep], scores[keep], kept.tolist())

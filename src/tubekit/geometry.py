@@ -10,7 +10,7 @@ import numpy as np
 __all__ = ["Box", "TubeGeometry", "box_iou", "iou2d", "st_iou"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Box:
     """Axis-aligned rectangle in continuous pixel coordinates, (x1, y1) <= (x2, y2)."""
 
@@ -19,17 +19,23 @@ class Box:
     x2: float
     y2: float
 
-    def __post_init__(self):
-        coords = (float(self.x1), float(self.y1), float(self.x2), float(self.y2))
-        for v in coords:
-            if not math.isfinite(v):
-                raise ValueError(f"box coordinates must be finite, got {coords}")
-        object.__setattr__(self, "x1", coords[0])
-        object.__setattr__(self, "y1", coords[1])
-        object.__setattr__(self, "x2", coords[2])
-        object.__setattr__(self, "y2", coords[3])
-        if self.x2 < self.x1 or self.y2 < self.y1:
-            raise ValueError(f"box corners out of order: {coords}")
+    def __init__(self, x1: float, y1: float, x2: float, y2: float):
+        # Finite ordered floats, as every box read from a file or array is, are
+        # stored as given; -inf < x1 <= x2 < inf fails for NaN and infinities.
+        if not (type(x1) is float and type(y1) is float and type(x2) is float
+                and type(y2) is float and -math.inf < x1 <= x2 < math.inf
+                and -math.inf < y1 <= y2 < math.inf):
+            coords = (float(x1), float(y1), float(x2), float(y2))
+            for v in coords:
+                if not math.isfinite(v):
+                    raise ValueError(f"box coordinates must be finite, got {coords}")
+            x1, y1, x2, y2 = coords
+            if x2 < x1 or y2 < y1:
+                raise ValueError(f"box corners out of order: {coords}")
+        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "x2", x2)
+        object.__setattr__(self, "y2", y2)
 
     @property
     def area(self) -> float:

@@ -10,13 +10,23 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-__all__ = ["dumps", "format_float"]
+__all__ = ["dumps", "format_float", "without_negative_zero"]
 
 
 def format_float(v: float) -> str:
     """Render a float with exactly six fractional digits, without negative zero."""
     s = f"{float(v):.6f}"
     return "0.000000" if s == "-0.000000" else s
+
+
+def without_negative_zero(text: str) -> str:
+    """``text`` with every -0.000000 written 0.000000, as :func:`format_float` writes it.
+
+    ``text`` holds only numbers, each printed with six fractional digits or
+    as an integer, and the brackets and commas between them. There
+    -0.000000 is only ever a whole number: six digits, then ',', ']' or the end.
+    """
+    return text.replace("-0.000000", "0.000000")
 
 
 def _flat_numbers(seq):
@@ -34,10 +44,7 @@ def _flat_numbers(seq):
             parts.append(f"{v}")
         else:
             return None
-    text = ",".join(parts)
-    if "-0.000000" in text:  # only ever a whole element: six digits, then ',' or the end
-        text = text.replace("-0.000000", "0.000000")
-    return f"[{text}]"
+    return f"[{without_negative_zero(','.join(parts))}]"
 
 
 def _emit(obj, out: list) -> None:

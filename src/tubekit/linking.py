@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import ActionTube
-from .geometry import TubeGeometry, iou2d
+from .datamodel import ActionTube, _columns
+from .geometry import Box, TubeGeometry, iou2d
 
 __all__ = [
     "LinkParams",
@@ -104,10 +104,18 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
     shorter than ``min_len`` are discarded.
     """
     params = params or LinkParams()
+    frames = {fd.frame: fd for fd in frame_dets}  # a repeated frame keeps its last detections
+    frames = [frames[t] for t in sorted(frames)]
+    boxes, class_ids, scores = _columns(frames)
+    frame_of = np.repeat(np.arange(len(frames)), [len(fd.scores) for fd in frames])
+    rows = np.flatnonzero(class_ids == class_id)
+    rows = rows[np.lexsort((-scores[rows], frame_of[rows]))]  # per frame, strongest first
+    # Frames without a candidate are skipped: a path's miss run is counted from
+    # frame numbers, and no claim can happen there.
     by_frame = {}
-    for fd in frame_dets:
-        cands = [(d.box, d.score) for d in fd.entries if d.class_id == class_id]
-        by_frame[fd.frame] = sorted(cands, key=lambda c: -c[1])
+    for i, (x1, y1, x2, y2), score in zip(frame_of[rows].tolist(), boxes[rows].tolist(),
+                                          scores[rows].tolist()):
+        by_frame.setdefault(frames[i].frame, []).append((Box(x1, y1, x2, y2), score))
     if not by_frame:
         return []
 
@@ -128,7 +136,7 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
             scores.append(score)
         finished.append((p.created, LinkedPath(class_id, p.start, boxes, scores)))
 
-    for t in sorted(by_frame):
+    for t, cands in by_frame.items():
         survivors = []
         for p in active:
             if t - 1 - p.frames[-1] > params.max_misses:
@@ -136,7 +144,6 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
             else:
                 survivors.append(p)
         active = survivors
-        cands = by_frame[t]
         claimed = [False] * len(cands)
         for p in sorted(active, key=lambda p: (-(p.score_sum / (t - p.start)), p.created)):
             last = p.boxes[-1]
@@ -287,15 +294,18 @@ def build_tubes(detections, link_params: LinkParams | None = None,
     link_params = link_params or LinkParams()
     trim_params = trim_params or TrimParams()
     by_video = {}
-    for fd in detections:
-        by_video.setdefault(fd.video_id, []).append(fd)
+    for fd in detections:  # a repeated frame keeps its last detections, as in greedy_link
+        by_video.setdefault(fd.video_id, {})[fd.frame] = fd
 
     out = []
     for video_id in sorted(by_video):
-        frames = by_video[video_id]
-        classes = sorted({d.class_id for fd in frames for d in fd.entries})
-        for c in classes:
-            for path in greedy_link(frames, c, link_params):
+        frames = list(by_video[video_id].values())
+        class_ids = np.concatenate([fd.class_ids for fd in frames])
+        frame_of = np.repeat(np.arange(len(frames)), [len(fd.scores) for fd in frames])
+        for c in np.unique(class_ids).tolist():
+            # greedy_link passes over frames without a class-c detection; leave them out.
+            holding = [frames[i] for i in np.unique(frame_of[class_ids == c]).tolist()]
+            for path in greedy_link(holding, c, link_params):
                 for s, e in trim_path(path.scores, trim_params):
                     geom = TubeGeometry(path.start_frame + s, path.boxes[s : e + 1])
                     out.append(ActionTube(video_id, c, geom, path.scores[s : e + 1]))

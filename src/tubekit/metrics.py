@@ -9,8 +9,13 @@ sum over true-positive ranks divided by the number of positives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import getitem
 
-from .geometry import iou2d, st_iou
+import numpy as np
+
+from .datamodel import _columns
+from .geometry import box_iou, st_iou
 from .jsonfmt import format_float
 from .motion import MotionCategory
 
@@ -223,18 +228,36 @@ def evaluate_frames(detections, gts, iou_thresh, motion_labels=None, jobs=1) -> 
     category and per-category metrics are added. ``jobs`` is accepted and
     ignored: all work runs in one thread.
     """
-    det_units = [
-        (d.class_id, (fd.video_id, fd.frame), d.box, d.score)
-        for fd in detections
-        for d in fd.entries
-    ]
-    gt_units = []
+    # A GT unit's payload is its place among its frame's same-class GTs, the
+    # order in which _match_class visits them; a detection's payload is its
+    # IoU with each of those GTs, in that order, so the overlap is one lookup.
+    gt_units, same, gt_boxes = [], {}, [np.empty((0, 4))]
     for gt in gts:
         geo = gt.geometry
-        for i in range(len(geo)):
-            frame = geo.start_frame + i
-            gt_units.append((gt.class_id, (gt.video_id, frame), geo.box_at(frame), gt.key))
-    return _evaluate(det_units, gt_units, iou_thresh, iou2d, "frame", motion_labels)
+        gt_boxes.append(geo.boxes)
+        for frame in range(geo.start_frame, geo.start_frame + len(geo)):
+            members = same.setdefault(((gt.video_id, frame), gt.class_id), [])
+            gt_units.append((gt.class_id, (gt.video_id, frame), len(members), gt.key))
+            members.append(len(gt_units) - 1)
+
+    detections = list(detections)
+    boxes, class_ids, scores = _columns(detections)
+    keys = [(fd.video_id, fd.frame) for fd in detections]
+    groups = [keys[i] for i in
+              np.repeat(np.arange(len(keys)), [len(fd.scores) for fd in detections]).tolist()]
+    classes = class_ids.tolist()
+    cands = [same.get(key, ()) for key in zip(groups, classes)]
+    # Every (detection, same-frame same-class GT) pair, scored by one box_iou call.
+    counts = [len(js) for js in cands]
+    pair_det = np.repeat(np.arange(len(cands)), counts)
+    pair_gt = np.fromiter(chain.from_iterable(cands), np.intp)
+    ious = box_iou(boxes[pair_det], np.concatenate(gt_boxes)[pair_gt]).tolist()
+    ends = list(accumulate(counts))
+    det_units = [
+        (c, group, ious[hi - n : hi], score)
+        for c, group, n, hi, score in zip(classes, groups, counts, ends, scores.tolist())
+    ]
+    return _evaluate(det_units, gt_units, iou_thresh, getitem, "frame", motion_labels)
 
 
 def evaluate_videos(tubes, gts, st_iou_thresh, motion_labels=None, jobs=1) -> EvalReport:

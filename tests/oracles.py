@@ -2,9 +2,10 @@
 
 Everything here is written naively on purpose: explicit loops, its own IoU
 and padding arithmetic, no code shared with the package under test. The
-exception is ``reference_evaluate``, a frozen copy of an earlier evaluation
-engine that borrows the package's overlap functions and result types so its
-reports can be compared with ``==``.
+exceptions are frozen copies of earlier package code: ``reference_evaluate``,
+``reference_tracks_to_tubes`` and the Detection-list detection I/O and
+filter. They borrow the package's overlap functions, record checks and
+result types, so their results can be compared with ``==`` or as bytes.
 """
 
 from __future__ import annotations
@@ -546,6 +547,34 @@ def reference_tracks_to_tubes(tracks, track_scores, trim_params):
     return out
 
 
+# This is ``build_tubes`` as tubekit shipped it while frames held Detection
+# lists: each class's ``greedy_link`` call is given every frame of the video.
+# It shares ``greedy_link``, ``trim_path`` and the result types with the
+# package, because it checks which frames reach the linker, not linking.
+
+
+def reference_build_tubes(detections, link_params, trim_params):
+    from tubekit.datamodel import ActionTube
+    from tubekit.geometry import TubeGeometry
+    from tubekit.linking import greedy_link, trim_path
+
+    by_video = {}
+    for fd in detections:
+        by_video.setdefault(fd.video_id, []).append(fd)
+
+    out = []
+    for video_id in sorted(by_video):
+        frames = by_video[video_id]
+        classes = sorted({d.class_id for fd in frames for d in fd.entries})
+        for c in classes:
+            for path in greedy_link(frames, c, link_params):
+                for s, e in trim_path(path.scores, trim_params):
+                    geom = TubeGeometry(path.start_frame + s, path.boxes[s : e + 1])
+                    out.append(ActionTube(video_id, c, geom, path.scores[s : e + 1]))
+    out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -774,3 +803,157 @@ def reference_dumps(obj):
     out = []
     _reference_emit(obj, out)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# frame detections as Detection lists, kept as the reference for the columns
+#
+# This is ``load_detections``, ``filter_by_tracks`` and ``save_detections``
+# as tubekit shipped them while every frame held a list of Detection objects:
+# a Detection + Box pair per row on load, a Python pass over them to filter,
+# and ``dumps`` of one dict per frame to save. They share the record checks,
+# ``box_iou``, ``dumps`` and the result types with the package, because they
+# check values, order and bytes exactly.
+
+
+def _reference_typed_dets(v, num_classes):
+    from tubekit.datamodel import _INF
+
+    if type(v) is not list:
+        return None
+    entries = []
+    try:
+        for x1, y1, x2, y2, c, s in v:
+            # -inf < x1 <= x2 < inf holds only for finite, ordered corners.
+            if not (type(x1) is float and type(y1) is float and type(x2) is float
+                    and type(y2) is float and type(c) is int and type(s) is float
+                    and -_INF < x1 <= x2 < _INF and -_INF < y1 <= y2 < _INF
+                    and 0 <= c < num_classes and 0.0 <= s <= 1.0):
+                return None
+            entries.append(_reference_detection(x1, y1, x2, y2, c, s))
+    except (TypeError, ValueError):
+        return None
+    return entries
+
+
+def _reference_detection(x1, y1, x2, y2, class_id, score):
+    """``Detection(Box(x1, y1, x2, y2), class_id, score)`` for values a typed pass accepted."""
+    from tubekit.datamodel import Detection
+    from tubekit.geometry import Box
+
+    box = object.__new__(Box)
+    attrs = box.__dict__
+    attrs["x1"] = x1
+    attrs["y1"] = y1
+    attrs["x2"] = x2
+    attrs["y2"] = y2
+    det = object.__new__(Detection)
+    attrs = det.__dict__
+    attrs["box"] = box
+    attrs["class_id"] = class_id
+    attrs["score"] = score
+    return det
+
+
+def _reference_get_dets(obj, config) -> list:
+    from tubekit.datamodel import _INF, Detection, _check_class, _get_number
+    from tubekit.geometry import Box
+
+    dets = obj["dets"]
+    entries = _reference_typed_dets(dets, _INF if config is None else config.num_classes)
+    if entries is not None:
+        return entries
+    if not isinstance(dets, list):
+        raise ValueError("field 'dets' must be a list")
+    entries = []
+    for i, row in enumerate(dets):
+        if not isinstance(row, list) or len(row) != 6:
+            raise ValueError(f"dets[{i}] must be [x1,y1,x2,y2,class,score]")
+        coords = [_get_number(c, f"dets[{i}]") for c in row[:4]]
+        if isinstance(row[4], bool) or not isinstance(row[4], int) or row[4] < 0:
+            raise ValueError(f"dets[{i}] class must be an integer >= 0")
+        _check_class(row[4], config)
+        score = _get_number(row[5], f"dets[{i}] score")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"dets[{i}] score {score} outside [0, 1]")
+        entries.append(Detection(Box(*coords), row[4], score))
+    return entries
+
+
+def reference_load_detections(path, config=None) -> list:
+    """Load per-frame detections, sorted by (video, frame)."""
+    from tubekit.datamodel import (DET_SCHEMA, FrameDetections, _check_fields, _get_int,
+                                   _get_str, _load_records)
+
+    seen = set()
+
+    def parse(obj):
+        _check_fields(obj, ("video", "frame", "dets"))
+        video = _get_str(obj, "video")
+        frame = _get_int(obj, "frame", minimum=0)
+        if (video, frame) in seen:
+            raise ValueError(f"duplicate frame {frame} in video '{video}'")
+        seen.add((video, frame))
+        return FrameDetections(video, frame, _reference_get_dets(obj, config))
+
+    frames = _load_records(path, DET_SCHEMA, parse)
+    frames.sort(key=lambda fd: (fd.video_id, fd.frame))
+    return frames
+
+
+def reference_save_detections(frames, path) -> None:
+    from tubekit.datamodel import DET_SCHEMA, _write_lines
+    from tubekit.jsonfmt import dumps
+
+    lines = []
+    for fd in sorted(frames, key=lambda fd: (fd.video_id, fd.frame)):
+        dets = [
+            [d.box.x1, d.box.y1, d.box.x2, d.box.y2, int(d.class_id), d.score]
+            for d in fd.entries
+        ]
+        lines.append(dumps({"video": fd.video_id, "frame": int(fd.frame), "dets": dets}))
+    _write_lines(path, DET_SCHEMA, lines)
+
+
+def reference_filter_by_tracks(detections, tracks, match_iou: float = 0.5,
+                               score_thresh: float = 0.05) -> list:
+    """Keep detections that clear the score threshold and lie on a track.
+
+    A detection survives iff score >= score_thresh and some track of the
+    same video has a box at the same frame with IoU >= match_iou. Track
+    class labels play no role. Per-frame ordering of survivors is preserved.
+    """
+    from tubekit.datamodel import FrameDetections
+    from tubekit.geometry import box_iou
+
+    if not 0.0 <= match_iou <= 1.0:
+        raise ValueError(f"match_iou {match_iou} outside [0, 1]")
+    if not 0.0 <= score_thresh <= 1.0:
+        raise ValueError(f"score_thresh {score_thresh} outside [0, 1]")
+
+    track_idx, track_rows = {}, []          # (video, frame) -> indices into track_rows
+    for tr in tracks:
+        geo = tr.geometry
+        for frame, row in enumerate(geo.boxes.tolist(), start=geo.start_frame):
+            track_idx.setdefault((tr.video_id, frame), []).append(len(track_rows))
+            track_rows.append(row)
+
+    # Every (detection, track box) pair on a shared frame, scored by one box_iou call.
+    cands = [[d for d in fd.entries if d.score >= score_thresh] for fd in detections]
+    det_rows, pair_det, pair_trk = [], [], []
+    for fd, ds in zip(detections, cands):
+        idx = track_idx.get((fd.video_id, fd.frame), [])
+        for d in ds:
+            pair_det += [len(det_rows)] * len(idx)
+            pair_trk += idx
+            det_rows.append((d.box.x1, d.box.y1, d.box.x2, d.box.y2))
+    pair_det = np.array(pair_det, dtype=np.intp)
+    ious = box_iou(np.array(det_rows).reshape(-1, 4)[pair_det],
+                   np.array(track_rows).reshape(-1, 4)[np.array(pair_trk, dtype=np.intp)])
+    on_track = np.zeros(len(det_rows), dtype=bool)
+    on_track[pair_det[ious >= match_iou]] = True
+    hits = iter(on_track.tolist())
+    return [
+        FrameDetections(fd.video_id, fd.frame, [d for d in ds if next(hits)])
+        for fd, ds in zip(detections, cands)
+    ]

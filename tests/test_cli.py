@@ -6,8 +6,10 @@ import sys
 import numpy as np
 import pytest
 
+from tubekit import cli
 from tubekit.aggregators import aspp_forward, random_weights, tcn_forward, temporal_max_pool
-from tubekit.datamodel import load_tracks
+from tubekit.datamodel import Detection, FrameDetections, load_tracks
+from tubekit.geometry import Box
 from tubekit.roialign import FeatureGrid, align_tracks, spatial_avg_pool
 from tubekit.tensorfile import read_tensors, write_tensors
 
@@ -184,6 +186,67 @@ class TestFilterCommand:
         proc = run_cli("filter-dets", "--det", det, "--tracks", tracks, "--out", out)
         assert "warning" in proc.stderr.decode()
         assert "kept 0 of 1" in proc.stdout.decode()
+
+    def test_class_above_float_precision_round_trips(self, tmp_path):
+        # 2**53 + 1 has no float64; the class column must hold it exactly.
+        det = tmp_path / "det.ndjson"
+        det.write_text(
+            '{"schema":"tubekit.det.v1"}\n'
+            '{"video":"v","frame":0,"dets":[[0.000000,0.000000,10.000000,10.000000,'
+            f'{2**53 + 1},0.500000],[1.000000,1.000000,2.000000,2.000000,{2**63 - 1},'
+            '1.000000]]}\n'
+        )
+        tracks = tmp_path / "tracks.ndjson"
+        tracks.write_text(
+            '{"schema":"tubekit.track.v1"}\n'
+            '{"video":"v","track":"k","start":0,"boxes":[[0,0,10,10]]}\n'
+        )
+        out = tmp_path / "filtered.ndjson"
+        proc = run_cli("filter-dets", "--det", det, "--tracks", tracks,
+                       "--score-thresh", "0", "--match-iou", "0", "--out", out)
+        assert proc.stdout.decode() == "kept 2 of 2 detections\n"
+        assert out.read_bytes() == det.read_bytes()
+
+
+class TestNoDetectionObjects:
+    """The detection commands read the columns and never build a Detection."""
+
+    @staticmethod
+    def count_inits(monkeypatch, cls, counts):
+        init = cls.__init__
+
+        def counted(self, *args, **kwargs):
+            counts[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    @pytest.mark.parametrize("command", ["filter-dets", "eval-frames", "build-tubes"])
+    def test_no_detection_built(self, fixture_dir, tmp_path, monkeypatch, capsys, command):
+        synth = fixture_dir / "synth"
+        det = synth / "detections.ndjson"
+        argv = {
+            "filter-dets": ["--tracks", synth / "tracks.ndjson", "--out", tmp_path / "o.ndjson"],
+            "eval-frames": ["--gt", synth / "gt.ndjson", "--dataset", "multisports",
+                            "--motion", "--pr-csv", tmp_path / "pr.csv"],
+            "build-tubes": ["--out", tmp_path / "o.ndjson"],
+        }[command]
+        rows = sum(len(json.loads(line)["dets"]) for line in det.read_text().splitlines()[1:])
+        counts = {"Detection": 0, "Box": 0, "entries": 0}
+        self.count_inits(monkeypatch, Detection, counts)
+        self.count_inits(monkeypatch, Box, counts)
+        entries = FrameDetections.entries
+
+        def read_entries(fd):
+            counts["entries"] += 1
+            return entries.fget(fd)
+
+        monkeypatch.setattr(FrameDetections, "entries", property(read_entries))
+        assert cli.main([command, "--det", str(det), *map(str, argv)]) == 0
+        # build-tubes links each class's rows once, as Boxes.
+        assert counts == {"Detection": 0, "Box": rows if command == "build-tubes" else 0,
+                          "entries": 0}
+        assert rows > 0 and capsys.readouterr().out
 
 
 class TestTrimTracksCommand:
@@ -394,6 +457,25 @@ class TestMalformedInputErrors:
         proc = run_cli("build-tubes", "--det", det, "--out", tmp_path / "t.ndjson",
                        check=False)
         self.assert_error(proc, "det.ndjson:2: dets[0] is beyond float range")
+
+    @pytest.mark.parametrize("command", ["filter-dets", "build-tubes", "eval-frames"])
+    @pytest.mark.parametrize("floats", [True, False])
+    def test_class_beyond_int64(self, fixture_dir, tmp_path, command, floats):
+        # Loaded without a vocabulary, a class must still fit the int64 column;
+        # integer coordinates take the per-field checks, floats the typed pass.
+        box = "0.0,0.0,1.0,1.0" if floats else "0,0,1,1"
+        det = tmp_path / "det.ndjson"
+        det.write_text('{"schema":"tubekit.det.v1"}\n'
+                       f'{{"video":"v","frame":0,"dets":[[{box},{10**30},0.5]]}}\n')
+        synth = fixture_dir / "synth"
+        inputs = {"filter-dets": ("--tracks", synth / "tracks.ndjson"),
+                  "build-tubes": (),
+                  "eval-frames": ("--gt", synth / "gt.ndjson")}[command]
+        outputs = () if command == "eval-frames" else ("--out", tmp_path / "out.ndjson")
+        proc = run_cli(command, "--det", det, *inputs, *outputs, check=False)
+        assert (proc.returncode, proc.stderr.decode()) == (
+            1, f"error: {det}:2: dets[0] class must be below 2**63, got {10**30}\n")
+        assert proc.stdout == b""
 
     def test_label_motion_coordinate_beyond_float_range(self, tmp_path):
         gt = tmp_path / "gt.ndjson"

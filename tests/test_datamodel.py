@@ -363,6 +363,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             Detection(Box(0, 0, 1, 1), 0, 1.5)
 
+    def test_detection_class_fits_int64(self):
+        # Frames store class ids as int64.
+        assert Detection(Box(0, 0, 1, 1), 2**63 - 1, 0.5).class_id == 2**63 - 1
+        with pytest.raises(ValueError, match=r"class id must be below 2\*\*63"):
+            Detection(Box(0, 0, 1, 1), 2**63, 0.5)
+
     def test_frame_detections_rejects_negative_frame(self):
         with pytest.raises(ValueError):
             FrameDetections("v", -1, [])

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tubekit.geometry import Box, TubeGeometry, iou2d, st_iou
 
@@ -24,6 +28,11 @@ def random_tube(rng, max_len=20):
     return TubeGeometry(start, boxes)
 
 
+_FLOATS = st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, math.nan, math.inf, -math.inf]) | st.floats()
+_COORDS = (_FLOATS | st.sampled_from([0, 1, -2, True]) | st.floats().map(np.float64)
+           | st.floats(width=32).map(np.float32))
+
+
 class TestBox:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
@@ -39,6 +48,38 @@ class TestBox:
 
     def test_zero_area_allowed(self):
         assert Box(1, 1, 1, 1).area == 0.0
+
+    @given(st.lists(_FLOATS, min_size=4, max_size=4) | st.lists(_COORDS, min_size=4, max_size=4))
+    @example([0.0, 2.0, 1.0, 1.0])
+    @example([2.0, 0.0, 1.0, 1.0])
+    @example([0.0, 0.0, 1.0, math.inf])
+    @example([-math.inf, 0.0, 1.0, 1.0])
+    @example([0.0, 0.0, math.nan, 1.0])
+    @example([1, 0.0, 2.0, 1.0])
+    @example([0.0, 0.0, np.float64(1.0), 1.0])
+    @example([0.0, True, 2.0, 1.0])
+    def test_same_values_and_errors_as_the_per_coordinate_checks(self, coords):
+        # Finite ordered floats skip the conversion and the per-coordinate checks.
+        def outcome(make):
+            try:
+                return "ok", [(type(v), repr(v)) for v in make()]
+            except ValueError as exc:
+                return "error", str(exc)
+
+        def reference():
+            converted = tuple(float(v) for v in coords)
+            for v in converted:
+                if not math.isfinite(v):
+                    raise ValueError(f"box coordinates must be finite, got {converted}")
+            if converted[2] < converted[0] or converted[3] < converted[1]:
+                raise ValueError(f"box corners out of order: {converted}")
+            return converted
+
+        def box():
+            b = Box(*coords)
+            return b.x1, b.y1, b.x2, b.y2
+
+        assert outcome(box) == outcome(reference)
 
 
 class TestIou2d:

@@ -19,6 +19,7 @@ from oracles import (
     exhaustive_trim_best,
     labeling_energy,
     per_frame_greedy_link,
+    reference_build_tubes,
     segments_to_labels,
 )
 
@@ -310,6 +311,24 @@ class TestBuildTubes:
         t1 = build_tubes(dets, jobs=1)
         t8 = build_tubes(dets, jobs=8)
         assert t1 == t8
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(["a", "b"]), st.integers(0, 40),
+                           st.lists(st.tuples(_lane_box, st.integers(0, 2),
+                                              st.sampled_from([0.2, 0.5, 0.9, 1.0])),
+                                    max_size=4)),
+                 max_size=30),
+        st.integers(0, 3),
+        st.integers(1, 4),
+    )
+    def test_matches_linking_every_frame(self, records, max_misses, min_len):
+        # Each class is linked over only the frames holding it; a frame given
+        # twice keeps its last detections, as greedy_link keeps them.
+        frames = [FrameDetections(v, f, [Detection(Box(*b), c, s) for b, c, s in entries])
+                  for v, f, entries in records]
+        link = LinkParams(iou_gate=0.1, max_misses=max_misses, min_len=min_len)
+        trim = TrimParams(alpha=0.5, min_segment_length=2)
+        assert build_tubes(frames, link, trim) == reference_build_tubes(frames, link, trim)
 
 
 class TestTracksToTubes:
