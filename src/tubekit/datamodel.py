@@ -231,9 +231,10 @@ class FrameDetections:
     Held as three read-only columns, row i being one detection: ``boxes``
     (n, 4) float64 in (x1, y1, x2, y2) order, ``class_ids`` (n,) int64 and
     ``scores`` (n,) float64. ``entries``, the same detections as a list of
-    :class:`Detection`, is built on first read; every function reads the
-    columns, so changing that list does not change them. Compares, prints
-    and refuses hashing as a dataclass of ``(video_id, frame, entries)`` would.
+    :class:`Detection`, is built from the columns on first read, also for a
+    frame made from a list; every function reads the columns, so changing
+    that list does not change them. Compares, prints and refuses hashing as
+    a dataclass of ``(video_id, frame, entries)`` would.
     """
 
     __slots__ = ("video_id", "frame", "boxes", "class_ids", "scores", "_entries")
@@ -242,7 +243,6 @@ class FrameDetections:
     def __init__(self, video_id: str, frame: int, entries: list):
         rows = [(d.box.x1, d.box.y1, d.box.x2, d.box.y2, d.class_id, d.score) for d in entries]
         self._fill(video_id, frame, *_table(rows, len(rows)))
-        self._entries = entries
 
     def _fill(self, video_id, frame, boxes, class_ids, scores) -> None:
         if frame < 0:

@@ -20,18 +20,12 @@ class Box:
     y2: float
 
     def __init__(self, x1: float, y1: float, x2: float, y2: float):
-        # Finite ordered floats, as every box read from a file or array is, are
-        # stored as given; -inf < x1 <= x2 < inf fails for NaN and infinities.
-        if not (type(x1) is float and type(y1) is float and type(x2) is float
-                and type(y2) is float and -math.inf < x1 <= x2 < math.inf
-                and -math.inf < y1 <= y2 < math.inf):
-            coords = (float(x1), float(y1), float(x2), float(y2))
-            for v in coords:
-                if not math.isfinite(v):
-                    raise ValueError(f"box coordinates must be finite, got {coords}")
-            x1, y1, x2, y2 = coords
-            if x2 < x1 or y2 < y1:
-                raise ValueError(f"box corners out of order: {coords}")
+        x1, y1, x2, y2 = coords = (float(x1), float(y1), float(x2), float(y2))
+        # -inf < x1 <= x2 < inf also fails for NaN and infinities.
+        if not (-math.inf < x1 <= x2 < math.inf and -math.inf < y1 <= y2 < math.inf):
+            if not all(map(math.isfinite, coords)):
+                raise ValueError(f"box coordinates must be finite, got {coords}")
+            raise ValueError(f"box corners out of order: {coords}")
         object.__setattr__(self, "x1", x1)
         object.__setattr__(self, "y1", y1)
         object.__setattr__(self, "x2", x2)

@@ -294,18 +294,15 @@ def build_tubes(detections, link_params: LinkParams | None = None,
     link_params = link_params or LinkParams()
     trim_params = trim_params or TrimParams()
     by_video = {}
-    for fd in detections:  # a repeated frame keeps its last detections, as in greedy_link
-        by_video.setdefault(fd.video_id, {})[fd.frame] = fd
+    for fd in detections:
+        by_video.setdefault(fd.video_id, []).append(fd)
 
     out = []
     for video_id in sorted(by_video):
-        frames = list(by_video[video_id].values())
-        class_ids = np.concatenate([fd.class_ids for fd in frames])
-        frame_of = np.repeat(np.arange(len(frames)), [len(fd.scores) for fd in frames])
-        for c in np.unique(class_ids).tolist():
-            # greedy_link passes over frames without a class-c detection; leave them out.
-            holding = [frames[i] for i in np.unique(frame_of[class_ids == c]).tolist()]
-            for path in greedy_link(holding, c, link_params):
+        frames = by_video[video_id]
+        classes = np.unique(np.concatenate([fd.class_ids for fd in frames])).tolist()
+        for c in classes:
+            for path in greedy_link(frames, c, link_params):
                 for s, e in trim_path(path.scores, trim_params):
                     geom = TubeGeometry(path.start_frame + s, path.boxes[s : e + 1])
                     out.append(ActionTube(video_id, c, geom, path.scores[s : e + 1]))

@@ -547,34 +547,6 @@ def reference_tracks_to_tubes(tracks, track_scores, trim_params):
     return out
 
 
-# This is ``build_tubes`` as tubekit shipped it while frames held Detection
-# lists: each class's ``greedy_link`` call is given every frame of the video.
-# It shares ``greedy_link``, ``trim_path`` and the result types with the
-# package, because it checks which frames reach the linker, not linking.
-
-
-def reference_build_tubes(detections, link_params, trim_params):
-    from tubekit.datamodel import ActionTube
-    from tubekit.geometry import TubeGeometry
-    from tubekit.linking import greedy_link, trim_path
-
-    by_video = {}
-    for fd in detections:
-        by_video.setdefault(fd.video_id, []).append(fd)
-
-    out = []
-    for video_id in sorted(by_video):
-        frames = by_video[video_id]
-        classes = sorted({d.class_id for fd in frames for d in fd.entries})
-        for c in classes:
-            for path in greedy_link(frames, c, link_params):
-                for s, e in trim_path(path.scores, trim_params):
-                    geom = TubeGeometry(path.start_frame + s, path.boxes[s : e + 1])
-                    out.append(ActionTube(video_id, c, geom, path.scores[s : e + 1]))
-    out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # convolution
 

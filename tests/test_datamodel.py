@@ -369,6 +369,16 @@ class TestTypes:
         with pytest.raises(ValueError, match=r"class id must be below 2\*\*63"):
             Detection(Box(0, 0, 1, 1), 2**63, 0.5)
 
+    def test_frame_detections_entries_are_read_from_the_columns(self):
+        # A frame made from a list shows what its columns hold, which is what
+        # saving, filtering, evaluation and linking read.
+        given = [Detection(Box(0, 0, 1, 1), 2, 1)]
+        fd = FrameDetections("v", 0, given)
+        given.append(Detection(Box(0, 0, 2, 2), 0, 0.5))
+        assert fd.entries == [Detection(Box(0, 0, 1, 1), 2, 1.0)]
+        assert type(fd.entries[0].score) is float
+        assert fd.scores.tolist() == [1.0]
+
     def test_frame_detections_rejects_negative_frame(self):
         with pytest.raises(ValueError):
             FrameDetections("v", -1, [])

@@ -59,7 +59,7 @@ class TestBox:
     @example([0.0, 0.0, np.float64(1.0), 1.0])
     @example([0.0, True, 2.0, 1.0])
     def test_same_values_and_errors_as_the_per_coordinate_checks(self, coords):
-        # Finite ordered floats skip the conversion and the per-coordinate checks.
+        # One chained comparison stands for the per-coordinate checks.
         def outcome(make):
             try:
                 return "ok", [(type(v), repr(v)) for v in make()]
