@@ -185,7 +185,12 @@ def _cmd_filter_dets(args) -> int:
     return 0
 
 
-def _cmd_pool_features(args) -> int:
+def _pooled_tracks(args) -> tuple:
+    """Read the clip's features and pool them along the tracks: ((N, T, C), tracks).
+
+    The features are released when this returns, before the aggregator's
+    weights are read, so the two never occupy memory at the same time.
+    """
     store = read_tensors(args.features)
     try:
         if "features" not in store or "spatial_stride" not in store:
@@ -215,6 +220,11 @@ def _cmd_pool_features(args) -> int:
     pooled = pool_tracks(
         grid, tracks, output_size=args.output_size, sampling_ratio=args.sampling_ratio
     )
+    return pooled, tracks
+
+
+def _cmd_pool_features(args) -> int:
+    pooled, tracks = _pooled_tracks(args)
 
     # One forward over all tracks: (N, T, C) -> (N, 1, C).
     if args.tfa == "maxpool":

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -320,6 +321,31 @@ class TestPoolFeaturesCommand:
             "--weights", feature_fixture / "tcn.tkt", "--out", pooled,
         )
         assert read_tensors(pooled)["aggregated"].shape == (2, 576)
+
+    @pytest.mark.parametrize("tfa", ["tcn", "aspp"])
+    def test_features_released_before_weights_are_read(self, feature_fixture, tmp_path,
+                                                       monkeypatch, capsys, tfa):
+        out = feature_fixture / "synth"
+        wpath = tmp_path / "w.tkt"
+        write_tensors(random_weights(tfa, seed=4), wpath)
+        features = []                       # weak references to the read feature arrays
+        alive_at_weights = []
+
+        def read(path):
+            if str(path) == str(wpath):
+                alive_at_weights.append([ref() is not None for ref in features])
+            store = read_tensors(path)
+            if str(path) != str(wpath):
+                features.extend(weakref.ref(a) for a in store.values())
+            return store
+
+        monkeypatch.setattr(cli, "read_tensors", read)
+        assert cli.main(["pool-features", "--features", str(out / "features" / "v000.tkt"),
+                         "--tracks", str(out / "tracks.ndjson"), "--tfa", tfa,
+                         "--weights", str(wpath), "--out", str(tmp_path / "p.tkt")]) == 0
+        capsys.readouterr()
+        assert len(features) == 2
+        assert alive_at_weights == [[False, False]]
 
     def test_track_features_are_mean_of_aligned_bins(self, feature_fixture, tmp_path):
         out = feature_fixture / "synth"
