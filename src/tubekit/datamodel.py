@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import itemgetter, length_hint
 
 import numpy as np
 
@@ -210,6 +210,14 @@ def _shown(value) -> str:
 _CLASS_LIMIT = 2**63  # detection class ids are stored as int64
 
 
+def _check_class_id(class_id) -> None:
+    """Reject a class id that is not a non-negative Python or numpy integer."""
+    if isinstance(class_id, bool) or not isinstance(class_id, (int, np.integer)):
+        raise ValueError(f"class id must be an integer, got {_shown(class_id)}")
+    if class_id < 0:
+        raise ValueError(f"class id must be >= 0, got {class_id}")
+
+
 @dataclass(frozen=True)
 class Detection:
     box: Box
@@ -217,8 +225,7 @@ class Detection:
     score: float
 
     def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError(f"class id must be >= 0, got {self.class_id}")
+        _check_class_id(self.class_id)
         if self.class_id >= _CLASS_LIMIT:
             raise ValueError(f"class id must be below 2**63, got {self.class_id}")
         if not 0.0 <= self.score <= 1.0:  # NaN fails too
@@ -322,8 +329,7 @@ class GroundTruthTube:
     geometry: TubeGeometry
 
     def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError(f"class id must be >= 0, got {self.class_id}")
+        _check_class_id(self.class_id)
 
     @property
     def key(self):
@@ -366,8 +372,7 @@ class ActionTube:
     tube_score: float = field(default=None)
 
     def __post_init__(self):
-        if self.class_id < 0:
-            raise ValueError(f"class id must be >= 0, got {self.class_id}")
+        _check_class_id(self.class_id)
         if len(self.frame_scores) != len(self.geometry):
             raise ValueError(
                 f"{len(self.frame_scores)} frame scores for {len(self.geometry)} boxes"
@@ -516,107 +521,79 @@ def _get_number(value, what) -> float:
 _INF = math.inf
 
 
-# Typed passes. Each accepts a field only when every value already has the
-# type and range the per-field checks require, using exact type tests and
-# local comparisons, so files written by tubekit cost no function call per
-# number. They return None for anything else, and the per-field checks then
-# name the failure. A row that is not a list of the right length fails to
-# unpack (TypeError/ValueError) or yields a non-number; either means None.
+# One loop reads each list field. Its fast test takes a row by exact type tests
+# and local comparisons, so files written by tubekit cost no function call per
+# number, nor an index count. A row the test rejects gets the per-field checks
+# where it stands: they name its first problem or replace it by its converted
+# values (integer coordinates stay valid), and the loop goes on with the next.
 
 
-def _typed_boxes(v):
-    try:
-        for x1, y1, x2, y2 in v:
-            if not (type(x1) is float and type(y1) is float
-                    and type(x2) is float and type(y2) is float):
-                return None
-    except (TypeError, ValueError):
-        return None
-    return np.array(v, dtype=np.float64) if v else None
-
-
-def _typed_scores(v, n):
-    if type(v) is not list or len(v) != n:
-        return None
-    for s in v:
-        if type(s) is not float or not 0.0 <= s <= 1.0:
-            return None
-    return v
-
-
-def _typed_dets(v, num_classes):
-    if type(v) is not list:
-        return None
-    try:
-        for x1, y1, x2, y2, c, s in v:
-            # -inf < x1 <= x2 < inf holds only for finite, ordered corners.
-            if not (type(x1) is float and type(y1) is float and type(x2) is float
-                    and type(y2) is float and type(c) is int and type(s) is float
-                    and -_INF < x1 <= x2 < _INF and -_INF < y1 <= y2 < _INF
-                    and 0 <= c < num_classes and 0.0 <= s <= 1.0):
-                return None
-    except (TypeError, ValueError):
-        return None
-    return v
-
-
-def _typed_matrix(v, width):
-    if type(v) is not list or not v or type(v[0]) is not list:
-        return None
-    if width is None:
-        width = len(v[0])
-    if not width:
-        return None
-    for row in v:
-        if type(row) is not list or len(row) != width:
-            return None
-        for s in row:
-            if type(s) is not float or not 0.0 <= s <= 1.0:
-                return None
-    return v
+def _last_index(values: list, rest) -> int:
+    """The index in ``values`` of the item last drawn from ``rest``, an iterator over it."""
+    return len(values) - length_hint(rest) - 1
 
 
 def _get_boxes(obj, key="boxes") -> np.ndarray:
     v = obj[key]
-    arr = _typed_boxes(v)
-    if arr is not None:
-        return arr
     if not isinstance(v, list) or not v:
         raise ValueError(f"field '{key}' must be a non-empty list")
-    rows = []
-    for i, row in enumerate(v):
+    rows = iter(v)
+    for row in rows:
+        try:
+            x1, y1, x2, y2 = row
+        except (TypeError, ValueError):
+            pass
+        else:
+            if (type(x1) is float and type(y1) is float
+                    and type(x2) is float and type(y2) is float):
+                continue
+        i = _last_index(v, rows)
         if not isinstance(row, list) or len(row) != 4:
             raise ValueError(f"{key}[{i}] must be [x1,y1,x2,y2]")
-        rows.append([_get_number(c, f"{key}[{i}]") for c in row])
-    return np.array(rows, dtype=np.float64)
+        v[i] = [_get_number(c, f"{key}[{i}]") for c in row]
+    return np.array(v, dtype=np.float64)
 
 
 def _get_scores(obj, key, expected_len) -> list:
+    """A list of scores; each kind is checked before any range, and both before the length."""
     v = obj[key]
-    vals = _typed_scores(v, expected_len)
-    if vals is not None:
-        return vals
     if not isinstance(v, list):
         raise ValueError(f"field '{key}' must be a list")
-    vals = [_get_number(s, f"{key}[{i}]") for i, s in enumerate(v)]
-    for i, s in enumerate(vals):
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"{key}[{i}] = {s} outside [0, 1]")
-    if len(vals) != expected_len:
-        raise ValueError(f"field '{key}' has {len(vals)} entries, expected {expected_len}")
-    return vals
+    outside = None  # index of the first score out of range
+    rest = iter(v)
+    for s in rest:
+        if type(s) is not float or not 0.0 <= s <= 1.0:
+            i = _last_index(v, rest)
+            v[i] = s = _get_number(s, f"{key}[{i}]")
+            if outside is None and not 0.0 <= s <= 1.0:
+                outside = i
+    if outside is not None:
+        raise ValueError(f"{key}[{outside}] = {v[outside]} outside [0, 1]")
+    if len(v) != expected_len:
+        raise ValueError(f"field '{key}' has {len(v)} entries, expected {expected_len}")
+    return v
 
 
 def _get_dets(obj, config) -> list:
     """The 'dets' rows, each ``[x1, y1, x2, y2, class, score]`` of checked values."""
     dets = obj["dets"]
-    rows = _typed_dets(dets, _CLASS_LIMIT if config is None else config.num_classes)
-    if rows is not None:
-        return rows
     if not isinstance(dets, list):
         raise ValueError("field 'dets' must be a list")
-    rows = []
-    for i, row in enumerate(dets):
+    num_classes = _CLASS_LIMIT if config is None else config.num_classes
+    rows = iter(dets)
+    for row in rows:
+        try:
+            x1, y1, x2, y2, c, s = row
+        except (TypeError, ValueError):
+            pass
+        else:
+            # -inf < x1 <= x2 < inf holds only for finite, ordered corners.
+            if (type(x1) is float and type(y1) is float and type(x2) is float
+                    and type(y2) is float and type(c) is int and type(s) is float
+                    and -_INF < x1 <= x2 < _INF and -_INF < y1 <= y2 < _INF
+                    and 0 <= c < num_classes and 0.0 <= s <= 1.0):
+                continue
+        i = _last_index(dets, rows)
         if not isinstance(row, list) or len(row) != 6:
             raise ValueError(f"dets[{i}] must be [x1,y1,x2,y2,class,score]")
         coords = [_get_number(c, f"dets[{i}]") for c in row[:4]]
@@ -629,31 +606,35 @@ def _get_dets(obj, config) -> list:
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"dets[{i}] score {score} outside [0, 1]")
         box = Box(*coords)
-        rows.append((box.x1, box.y1, box.x2, box.y2, row[4], score))
-    return rows
+        dets[i] = [box.x1, box.y1, box.x2, box.y2, row[4], score]
+    return dets
 
 
 def _get_matrix(obj, width) -> list:
     """The 'scores' rows; ``width`` is the file's class count, None before its first row."""
     rows = obj["scores"]
-    mat = _typed_matrix(rows, width)
-    if mat is not None:
-        return mat
     if not isinstance(rows, list) or not rows:
         raise ValueError("field 'scores' must be a non-empty list")
-    mat = []
-    for i, row in enumerate(rows):
+    if width is None and type(rows[0]) is list:
+        width = len(rows[0]) or None  # the file's first row sets it; an empty one fails below
+    rest = iter(rows)
+    for row in rest:
+        if type(row) is list and len(row) == width:
+            for s in row:
+                if type(s) is not float or not 0.0 <= s <= 1.0:
+                    break
+            else:
+                continue
+        i = _last_index(rows, rest)
         if not isinstance(row, list) or not row:
             raise ValueError(f"scores[{i}] must be a non-empty list")
         vals = [_get_number(s, f"scores[{i}]") for s in row]
         if any(not 0.0 <= s <= 1.0 for s in vals):
             raise ValueError(f"scores[{i}] outside [0, 1]")
-        if width is None:
-            width = len(vals)
         if len(vals) != width:
             raise ValueError(f"scores[{i}] has {len(vals)} classes, expected {width}")
-        mat.append(vals)
-    return mat
+        rows[i] = vals
+    return rows
 
 
 def _check_class(class_id, config):

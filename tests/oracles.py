@@ -3,9 +3,10 @@
 Everything here is written naively on purpose: explicit loops, its own IoU
 and padding arithmetic, no code shared with the package under test. The
 exceptions are frozen copies of earlier package code: ``reference_evaluate``,
-``reference_tracks_to_tubes`` and the Detection-list detection I/O and
-filter. They borrow the package's overlap functions, record checks and
-result types, so their results can be compared with ``==`` or as bytes.
+``reference_tracks_to_tubes``, the Detection-list detection I/O and filter,
+and the typed/per-field field readers ``reference_get_*``. They borrow the
+package's overlap functions, record checks and result types, so their
+results can be compared with ``==`` or as bytes.
 """
 
 from __future__ import annotations
@@ -929,3 +930,157 @@ def reference_filter_by_tracks(detections, tracks, match_iou: float = 0.5,
         FrameDetections(fd.video_id, fd.frame, [d for d in ds if next(hits)])
         for fd, ds in zip(detections, cands)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the typed and per-field field readers, kept as the reference for the loaders
+#
+# These are ``_get_boxes``, ``_get_scores``, ``_get_dets`` and ``_get_matrix``
+# as tubekit shipped them while each list field had two readers: a typed pass
+# that only accepts, then, whenever it declines, the per-field checks run from
+# the top of the field to name the failure. They share ``_get_number``, the
+# class checks and ``Box`` with the package, because they check each loaded
+# value, its type and each error message exactly.
+
+
+def _typed_boxes(v):
+    try:
+        for x1, y1, x2, y2 in v:
+            if not (type(x1) is float and type(y1) is float
+                    and type(x2) is float and type(y2) is float):
+                return None
+    except (TypeError, ValueError):
+        return None
+    return np.array(v, dtype=np.float64) if v else None
+
+
+def _typed_scores(v, n):
+    if type(v) is not list or len(v) != n:
+        return None
+    for s in v:
+        if type(s) is not float or not 0.0 <= s <= 1.0:
+            return None
+    return v
+
+
+def _typed_dets(v, num_classes):
+    from tubekit.datamodel import _INF
+
+    if type(v) is not list:
+        return None
+    try:
+        for x1, y1, x2, y2, c, s in v:
+            # -inf < x1 <= x2 < inf holds only for finite, ordered corners.
+            if not (type(x1) is float and type(y1) is float and type(x2) is float
+                    and type(y2) is float and type(c) is int and type(s) is float
+                    and -_INF < x1 <= x2 < _INF and -_INF < y1 <= y2 < _INF
+                    and 0 <= c < num_classes and 0.0 <= s <= 1.0):
+                return None
+    except (TypeError, ValueError):
+        return None
+    return v
+
+
+def _typed_matrix(v, width):
+    if type(v) is not list or not v or type(v[0]) is not list:
+        return None
+    if width is None:
+        width = len(v[0])
+    if not width:
+        return None
+    for row in v:
+        if type(row) is not list or len(row) != width:
+            return None
+        for s in row:
+            if type(s) is not float or not 0.0 <= s <= 1.0:
+                return None
+    return v
+
+
+def reference_get_boxes(obj, key="boxes") -> np.ndarray:
+    from tubekit.datamodel import _get_number
+
+    v = obj[key]
+    arr = _typed_boxes(v)
+    if arr is not None:
+        return arr
+    if not isinstance(v, list) or not v:
+        raise ValueError(f"field '{key}' must be a non-empty list")
+    rows = []
+    for i, row in enumerate(v):
+        if not isinstance(row, list) or len(row) != 4:
+            raise ValueError(f"{key}[{i}] must be [x1,y1,x2,y2]")
+        rows.append([_get_number(c, f"{key}[{i}]") for c in row])
+    return np.array(rows, dtype=np.float64)
+
+
+def reference_get_scores(obj, key, expected_len) -> list:
+    from tubekit.datamodel import _get_number
+
+    v = obj[key]
+    vals = _typed_scores(v, expected_len)
+    if vals is not None:
+        return vals
+    if not isinstance(v, list):
+        raise ValueError(f"field '{key}' must be a list")
+    vals = [_get_number(s, f"{key}[{i}]") for i, s in enumerate(v)]
+    for i, s in enumerate(vals):
+        if not 0.0 <= s <= 1.0:
+            raise ValueError(f"{key}[{i}] = {s} outside [0, 1]")
+    if len(vals) != expected_len:
+        raise ValueError(f"field '{key}' has {len(vals)} entries, expected {expected_len}")
+    return vals
+
+
+def reference_get_dets(obj, config) -> list:
+    """The 'dets' rows, each ``[x1, y1, x2, y2, class, score]`` of checked values."""
+    from tubekit.datamodel import _CLASS_LIMIT, _check_class, _get_number, _shown
+    from tubekit.geometry import Box
+
+    dets = obj["dets"]
+    rows = _typed_dets(dets, _CLASS_LIMIT if config is None else config.num_classes)
+    if rows is not None:
+        return rows
+    if not isinstance(dets, list):
+        raise ValueError("field 'dets' must be a list")
+    rows = []
+    for i, row in enumerate(dets):
+        if not isinstance(row, list) or len(row) != 6:
+            raise ValueError(f"dets[{i}] must be [x1,y1,x2,y2,class,score]")
+        coords = [_get_number(c, f"dets[{i}]") for c in row[:4]]
+        if isinstance(row[4], bool) or not isinstance(row[4], int) or row[4] < 0:
+            raise ValueError(f"dets[{i}] class must be an integer >= 0")
+        _check_class(row[4], config)
+        if row[4] >= _CLASS_LIMIT:
+            raise ValueError(f"dets[{i}] class must be below 2**63, got {_shown(row[4])}")
+        score = _get_number(row[5], f"dets[{i}] score")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"dets[{i}] score {score} outside [0, 1]")
+        box = Box(*coords)
+        rows.append((box.x1, box.y1, box.x2, box.y2, row[4], score))
+    return rows
+
+
+def reference_get_matrix(obj, width) -> list:
+    """The 'scores' rows; ``width`` is the file's class count, None before its first row."""
+    from tubekit.datamodel import _get_number
+
+    rows = obj["scores"]
+    mat = _typed_matrix(rows, width)
+    if mat is not None:
+        return mat
+    if not isinstance(rows, list) or not rows:
+        raise ValueError("field 'scores' must be a non-empty list")
+    mat = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or not row:
+            raise ValueError(f"scores[{i}] must be a non-empty list")
+        vals = [_get_number(s, f"scores[{i}]") for s in row]
+        if any(not 0.0 <= s <= 1.0 for s in vals):
+            raise ValueError(f"scores[{i}] outside [0, 1]")
+        if width is None:
+            width = len(vals)
+        if len(vals) != width:
+            raise ValueError(f"scores[{i}] has {len(vals)} classes, expected {width}")
+        mat.append(vals)
+    return mat

@@ -369,6 +369,22 @@ class TestTypes:
         with pytest.raises(ValueError, match=r"class id must be below 2\*\*63"):
             Detection(Box(0, 0, 1, 1), 2**63, 0.5)
 
+    @pytest.mark.parametrize("make", [
+        lambda c: Detection(Box(0, 0, 1, 1), c, 0.5),
+        lambda c: GroundTruthTube("v", "t", c, TubeGeometry(0, [(0, 0, 1, 1)])),
+        lambda c: ActionTube("v", c, TubeGeometry(0, [(0, 0, 1, 1)]), [0.5]),
+    ], ids=["Detection", "GroundTruthTube", "ActionTube"])
+    def test_class_id_must_be_an_integer(self, make):
+        for c in (3, np.int64(3), np.int32(3), np.uint8(3)):
+            assert make(c).class_id == 3
+        for c in (3.7, 3.0, True, False, np.float64(3.0), np.bool_(True), "3", None, [3]):
+            with pytest.raises(ValueError) as exc:
+                make(c)
+            assert str(exc.value) == f"class id must be an integer, got {c!r}"
+        for c in (-1, np.int64(-1)):
+            with pytest.raises(ValueError, match="^class id must be >= 0, got -1$"):
+                make(c)
+
     def test_frame_detections_entries_are_read_from_the_columns(self):
         # A frame made from a list shows what its columns hold, which is what
         # saving, filtering, evaluation and linking read.

@@ -1,11 +1,13 @@
-"""The NDJSON codec's typed passes against the per-field code they sit in front of.
+"""The NDJSON codec's field readers against the frozen readers they replaced.
 
-Loaders first try one typed pass per field and fall back to the per-field
-checks for anything it does not accept; ``dumps`` writes flat numeric
-sequences in one join. Every test here compares the two ways: a load must
-give the same objects, field types included, or the same
-``path:line: message``; ``dumps`` must give the same bytes as the
-element-by-element reference in ``oracles``.
+Loaders read each list field (boxes, scores, dets, a score matrix) in one
+loop: an exact-type test per row, and the per-field checks for a row it
+rejects. ``oracles.reference_get_*`` keep the readers that came before: a
+typed pass that only accepts, then, on any rejection, the per-field checks
+from the top of the field. A load must give the same objects as with those
+readers patched in, field types included, or the same ``path:line:
+message``, which keeps the order of errors; ``dumps`` must give the same
+bytes as the element-by-element reference in ``oracles``.
 """
 
 import contextlib
@@ -34,6 +36,7 @@ from tubekit.datamodel import (
 from tubekit.geometry import Box, TubeGeometry
 from tubekit.jsonfmt import dumps
 
+import oracles
 from oracles import reference_dumps
 
 # ---------------------------------------------------------------------------
@@ -101,15 +104,14 @@ def _canonical_lines(tmp_path, name):
     return path.read_text().splitlines()
 
 
-def _none(*args):
-    return None
+READERS = ("boxes", "scores", "dets", "matrix")
 
 
 @contextlib.contextmanager
-def _per_field_only():
-    """Turn every typed pass off, so that each field goes through the per-field checks."""
-    with mock.patch.multiple(datamodel, _typed_boxes=_none, _typed_scores=_none,
-                             _typed_dets=_none, _typed_matrix=_none):
+def _reference_readers():
+    """Read every list field with the frozen typed and per-field readers."""
+    readers = {f"_get_{name}": getattr(oracles, f"reference_get_{name}") for name in READERS}
+    with mock.patch.multiple(datamodel, **readers):
         yield
 
 
@@ -139,13 +141,13 @@ def _outcome(load, path, config):
         return "error", str(exc)
 
 
-def _assert_same_as_per_field(name, path):
+def _assert_same_as_reference(name, path):
     load, takes_config = SCHEMAS[name][2], SCHEMAS[name][3]
     for config in (None, UCF24) if takes_config else (None,):
-        fast = _outcome(load, path, config)
-        with _per_field_only():
-            slow = _outcome(load, path, config)
-        assert fast == slow, path.read_text()
+        outcome = _outcome(load, path, config)
+        with _reference_readers():
+            reference = _outcome(load, path, config)
+        assert outcome == reference, path.read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -156,9 +158,13 @@ DEEP = "<deep>"  # written as arrays nested 100,000 deep, past the recursion lim
 
 
 def _mutations(v):
-    """Replacements for one value: wrong types, out-of-range numbers, wrong shapes."""
+    """Replacements for one value: wrong types, out-of-range numbers, wrong shapes.
+
+    The last two lists hold more than one error, so that a loader must name
+    the one the reference names first.
+    """
     out = [3, 0, -1, 24, 10**400, True, False, "1.5", "", 1.5, -0.5, BIG, NEG_BIG, DEEP,
-           None, [], [v], {"k": v}, {}]
+           None, [], [v], {"k": v}, {}, [1.5, -0.5, 2.0], [1.5, "1.5"]]
     if type(v) is float:
         out.append(int(v))  # an int coordinate or score
     if type(v) is int and abs(v) <= 2**53:
@@ -211,7 +217,7 @@ def test_every_single_mutation_matches_per_field(tmp_path, name):
                 mutated = list(lines)
                 mutated[i] = _text(_replaced(record, node, value))
                 path.write_text("\n".join(mutated) + "\n")
-                _assert_same_as_per_field(name, path)
+                _assert_same_as_reference(name, path)
                 checked += 1
     assert checked > 100
 
@@ -234,7 +240,7 @@ def test_random_mutations_match_per_field(tmp_path_factory, name, data):
     lines = data.draw(_mutated_files(_canonical_lines(tmp_path, name)))
     path = tmp_path / "mutated.ndjson"
     path.write_text("\n".join(lines) + "\n")
-    _assert_same_as_per_field(name, path)
+    _assert_same_as_reference(name, path)
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
@@ -242,10 +248,10 @@ def test_canonical_files_take_the_typed_pass(tmp_path, name):
     fixture, save, load, _ = SCHEMAS[name]
     path = tmp_path / f"{name}.ndjson"
     save(fixture(), path)
-    with _per_field_only():
+    with _reference_readers():
         expected = _canon(load(path))
-    # The per-field code reads every number through _get_number; the typed
-    # passes read none but a tube record's single 'score'.
+    # The per-field checks read every number through _get_number. The fast
+    # tests read none; only a tube record's single 'score' goes through it.
     with mock.patch.object(datamodel, "_get_number", side_effect=datamodel._get_number) as spy:
         assert _canon(load(path)) == expected
     assert [c.args[1] for c in spy.call_args_list] == \
@@ -263,6 +269,38 @@ def test_integer_coordinates_take_the_per_field_path(tmp_path):
     assert det == Detection(Box(0.0, 0.0, 5.0, 5.0), 1, 1.0)
     assert [type(v) for v in (det.box.x1, det.box.y1, det.box.x2, det.box.y2, det.score)] \
         == [float] * 5
+
+
+def test_reference_readers_are_not_the_loaders_readers():
+    for name in READERS:
+        reference = getattr(oracles, f"reference_get_{name}")
+        assert reference is not getattr(datamodel, f"_get_{name}")
+        assert reference.__module__ == "oracles"
+
+
+_BOX = "[0.0,0.0,1.0,1.0]"
+
+
+# A row the fast test rejects is checked where it stands, so each message
+# below must name what the per-field checks of the whole field would name
+# first: a score's kind before any score's range, both before the length.
+@pytest.mark.parametrize("name, records, lineno, message", [
+    ("track", ['{"video":"v","track":"k","start":0,"boxes":[%s,%s],"scores":[1.5,"x"]}'
+               % (_BOX, _BOX)], 2, "scores[1] must be a number"),
+    ("tube", ['{"video":"v","class":0,"start":0,"boxes":[%s,%s],"frame_scores":[0.5,1.5,0.5],'
+              '"score":0.5}' % (_BOX, _BOX)], 2, "frame_scores[1] = 1.5 outside [0, 1]"),
+    ("det", ['{"video":"v","frame":0,"dets":[[0,0,5,5,1,1],[0.0,0.0,5.0,5.0,1.5,0.5]]}'], 2,
+     "dets[1] class must be an integer >= 0"),
+    ("trackscores", ['{"video":"v","track":"a","start":0,"scores":[[1,0,1],[0.5,0.5,0.5]]}',
+                     '{"video":"v","track":"b","start":0,"scores":[[0.5,0.25,0.125],[0.5,0.25]]}'],
+     3, "scores[1] has 2 classes, expected 3"),
+], ids=["kind-after-range", "range-and-length", "int-row-then-bad-row", "int-first-row-width"])
+def test_first_error_of_a_field(tmp_path, name, records, lineno, message):
+    path = tmp_path / f"{name}.ndjson"
+    path.write_text(_canonical_lines(tmp_path, name)[0] + "\n" + "\n".join(records) + "\n")
+    with pytest.raises(FileFormatError) as exc:
+        SCHEMAS[name][2](path)
+    assert str(exc.value) == f"{path}:{lineno}: {message}"
 
 
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
