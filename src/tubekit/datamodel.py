@@ -237,11 +237,11 @@ class FrameDetections:
 
     Held as three read-only columns, row i being one detection: ``boxes``
     (n, 4) float64 in (x1, y1, x2, y2) order, ``class_ids`` (n,) int64 and
-    ``scores`` (n,) float64. ``entries``, the same detections as a list of
+    ``scores`` (n,) float64. ``entries``, the same detections as a tuple of
     :class:`Detection`, is built from the columns on first read, also for a
-    frame made from a list; every function reads the columns, so changing
-    that list does not change them. Compares, prints and refuses hashing as
-    a dataclass of ``(video_id, frame, entries)`` would.
+    frame made from a list; every function reads the columns. Compares,
+    prints and refuses hashing as a dataclass of ``(video_id, frame,
+    entries)`` would.
     """
 
     __slots__ = ("video_id", "frame", "boxes", "class_ids", "scores", "_entries")
@@ -262,12 +262,12 @@ class FrameDetections:
         self._entries = None
 
     @property
-    def entries(self) -> list:
+    def entries(self) -> tuple:
         if self._entries is None:
-            self._entries = [
+            self._entries = tuple(
                 Detection(Box(*box), c, s) for box, c, s in
                 zip(self.boxes.tolist(), self.class_ids.tolist(), self.scores.tolist())
-            ]
+            )
         return self._entries
 
     def __eq__(self, other):

@@ -44,10 +44,19 @@ def iou2d(a: Box, b: Box) -> float:
 
     Degenerate cases where the union has zero area return 0.0.
     """
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    return _tuple_iou((None, a.x1, a.y1, a.x2, a.y2, a.area, None),
+                      (None, b.x1, b.y1, b.x2, b.y2, b.area, None))
+
+
+def _tuple_iou(a: tuple, b: tuple) -> float:
+    """IoU of two ``(row, x1, y1, x2, y2, area, score)`` tuples: the one scalar IoU, for
+    ``iou2d`` and the linking gate. Each conditional is builtin ``min`` or ``max``."""
+    _, ax1, ay1, ax2, ay2, a_area, _ = a
+    _, bx1, by1, bx2, by2, b_area, _ = b
+    iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)
+    ih = (by2 if by2 < ay2 else ay2) - (by1 if by1 > ay1 else ay1)
     inter = iw * ih if iw > 0.0 and ih > 0.0 else 0.0
-    union = a.area + b.area - inter
+    union = a_area + b_area - inter
     if union <= 0.0:
         return 0.0
     return inter / union

@@ -10,11 +10,12 @@ programming over the two-state chain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from .datamodel import ActionTube, _columns
-from .geometry import Box, TubeGeometry, iou2d
+from .geometry import Box, TubeGeometry, _tuple_iou
 
 __all__ = [
     "LinkParams",
@@ -27,6 +28,14 @@ __all__ = [
 ]
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not a Python or numpy integer, or is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 @dataclass(frozen=True)
 class LinkParams:
     iou_gate: float = 0.1
@@ -36,10 +45,8 @@ class LinkParams:
     def __post_init__(self):
         if not 0.0 <= self.iou_gate <= 1.0:
             raise ValueError(f"iou_gate {self.iou_gate} outside [0, 1]")
-        if self.max_misses < 0:
-            raise ValueError("max_misses must be >= 0")
-        if self.min_len < 1:
-            raise ValueError("min_len must be >= 1")
+        _check_count("max_misses", self.max_misses, 0)
+        _check_count("min_len", self.min_len, 1)
 
 
 @dataclass(frozen=True)
@@ -50,8 +57,7 @@ class TrimParams:
     def __post_init__(self):
         if not self.alpha >= 0.0:  # NaN fails this too
             raise ValueError(f"alpha must be >= 0, got {self.alpha}")
-        if self.min_segment_length < 1:
-            raise ValueError("min_segment_length must be >= 1")
+        _check_count("min_segment_length", self.min_segment_length, 1)
 
 
 @dataclass
@@ -71,23 +77,93 @@ class LinkedPath:
 
 
 class _ActivePath:
-    """A path being linked. It holds only its claims: one frame, box and score each."""
+    """A path being linked. It holds only its claims: one frame and candidate each."""
 
-    __slots__ = ("start", "frames", "boxes", "scores", "score_sum", "created")
+    __slots__ = ("start", "frames", "cands", "last", "score_sum", "created")
 
-    def __init__(self, frame, box, score, created):
-        self.start = frame
-        self.frames = [frame]
-        self.boxes = [box]
-        self.scores = [score]
-        self.score_sum = score
-        self.created = created
+    def __init__(self, frame, cand, created):
+        self.start, self.frames, self.cands, self.last = frame, [frame], [cand], cand
+        self.score_sum, self.created = cand[6], created
 
-    def claim(self, frame, box, score):
-        self.frames.append(frame)
-        self.boxes.append(box)
-        self.scores.append(score)
-        self.score_sum += score
+
+def _link_rows(by_frame, params: LinkParams) -> list:
+    """``greedy_link``'s rules on candidate tuples ``(row, x1, y1, x2, y2, area, score)``.
+
+    ``by_frame`` lists ``(frame, candidates)`` in ascending frame order, each
+    frame's candidates strongest first. Returns the kept paths in creation
+    order as ``(start frame, rows, scores)``, one row and score per frame.
+    """
+    gate = params.iou_gate
+    active: list = []
+    kept: list = []
+    ids = count()
+
+    def finish(p):
+        n = p.frames[-1] - p.start + 1
+        if n < params.min_len:
+            return
+        if len(p.cands) == n:
+            rows, scores = [c[0] for c in p.cands], [c[6] for c in p.cands]
+        else:  # a bridged frame repeats the claim before it, with score 0
+            rows, scores = [], []
+            for frame, cand in zip(p.frames, p.cands):
+                bridged = frame - p.start - len(rows)
+                if bridged:
+                    rows += [rows[-1]] * bridged
+                    scores += [0.0] * bridged
+                rows.append(cand[0])
+                scores.append(cand[6])
+        kept.append((p.created, p.start, rows, scores))
+
+    for t, cands in by_frame:
+        survivors = []
+        for p in active:
+            if t - 1 - p.frames[-1] > params.max_misses:
+                finish(p)
+            else:
+                survivors.append(p)
+        active = survivors
+        free = list(cands)
+        # active is in creation order, so the stable sort breaks ties by it.
+        for p in sorted(active, key=lambda p: -(p.score_sum / (t - p.start))):
+            for j, cand in enumerate(free):
+                if _tuple_iou(p.last, cand) >= gate:
+                    p.frames.append(t)
+                    p.cands.append(free.pop(j))
+                    p.score_sum += cand[6]
+                    p.last = cand
+                    break
+            if not free:
+                break
+        active += [_ActivePath(t, cand, next(ids)) for cand in free]
+    for p in active:
+        finish(p)
+    return [path[1:] for path in sorted(kept)]
+
+
+def _by_class(frame_dets) -> tuple:
+    """One video's box column and each class's ``(frame, candidates)`` list.
+
+    A repeated frame keeps its last detections. One stable sort orders the
+    rows by class, frame and descending score, so equal scores keep row order.
+    """
+    frames = {fd.frame: fd for fd in frame_dets}
+    frames = [frames[t] for t in sorted(frames)]
+    boxes, class_ids, scores = _columns(frames)
+    frame_of = np.repeat(np.arange(len(frames)), [len(fd.scores) for fd in frames])
+    rows = np.lexsort((-scores, frame_of, class_ids))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge boxes: inf or NaN area, as iou2d
+        area = (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+    cands = list(zip(rows.tolist(), *boxes[rows].T.tolist(), area[rows].tolist(),
+                     scores[rows].tolist()))
+    c, at = class_ids[rows], frame_of[rows]
+    starts = np.flatnonzero((np.diff(c, prepend=-1) != 0) | (np.diff(at, prepend=-1) != 0))
+    starts = starts.tolist()
+    by_class = {}
+    for lo, hi, k, i in zip(starts, starts[1:] + [len(rows)], c[starts].tolist(),
+                            at[starts].tolist()):
+        by_class.setdefault(k, []).append((frames[i].frame, cands[lo:hi]))
+    return boxes, by_class
 
 
 def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> list:
@@ -103,63 +179,10 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
     claimed box and score 0. Leftover detections seed new paths. Paths
     shorter than ``min_len`` are discarded.
     """
-    params = params or LinkParams()
-    frames = {fd.frame: fd for fd in frame_dets}  # a repeated frame keeps its last detections
-    frames = [frames[t] for t in sorted(frames)]
-    boxes, class_ids, scores = _columns(frames)
-    frame_of = np.repeat(np.arange(len(frames)), [len(fd.scores) for fd in frames])
-    rows = np.flatnonzero(class_ids == class_id)
-    rows = rows[np.lexsort((-scores[rows], frame_of[rows]))]  # per frame, strongest first
-    # Frames without a candidate are skipped: a path's miss run is counted from
-    # frame numbers, and no claim can happen there.
-    by_frame = {}
-    for i, (x1, y1, x2, y2), score in zip(frame_of[rows].tolist(), boxes[rows].tolist(),
-                                          scores[rows].tolist()):
-        by_frame.setdefault(frames[i].frame, []).append((Box(x1, y1, x2, y2), score))
-    if not by_frame:
-        return []
-
-    active: list = []
-    finished: list = []
-    created = 0
-
-    def finish(p):
-        if p.frames[-1] - p.start + 1 < params.min_len:
-            return
-        boxes, scores = [], []
-        for frame, box, score in zip(p.frames, p.boxes, p.scores):
-            bridged = frame - p.start - len(boxes)
-            if bridged:
-                boxes += [boxes[-1]] * bridged
-                scores += [0.0] * bridged
-            boxes.append(box)
-            scores.append(score)
-        finished.append((p.created, LinkedPath(class_id, p.start, boxes, scores)))
-
-    for t, cands in by_frame.items():
-        survivors = []
-        for p in active:
-            if t - 1 - p.frames[-1] > params.max_misses:
-                finish(p)
-            else:
-                survivors.append(p)
-        active = survivors
-        claimed = [False] * len(cands)
-        for p in sorted(active, key=lambda p: (-(p.score_sum / (t - p.start)), p.created)):
-            last = p.boxes[-1]
-            for j, (box, score) in enumerate(cands):
-                if not claimed[j] and iou2d(last, box) >= params.iou_gate:
-                    claimed[j] = True
-                    p.claim(t, box, score)
-                    break
-        for j, (box, score) in enumerate(cands):
-            if not claimed[j]:
-                active.append(_ActivePath(t, box, score, created))
-                created += 1
-    for p in active:
-        finish(p)
-    finished.sort(key=lambda item: item[0])
-    return [path for _, path in finished]
+    boxes, by_class = _by_class(frame_dets)
+    return [LinkedPath(class_id, start, [Box(*b) for b in boxes[rows].tolist()], scores)
+            for start, rows, scores in _link_rows(by_class.get(class_id, []),
+                                                  params or LinkParams())]
 
 
 def trim_path(frame_scores, params: TrimParams | None = None) -> list:
@@ -299,13 +322,12 @@ def build_tubes(detections, link_params: LinkParams | None = None,
 
     out = []
     for video_id in sorted(by_video):
-        frames = by_video[video_id]
-        classes = np.unique(np.concatenate([fd.class_ids for fd in frames])).tolist()
-        for c in classes:
-            for path in greedy_link(frames, c, link_params):
-                for s, e in trim_path(path.scores, trim_params):
-                    geom = TubeGeometry(path.start_frame + s, path.boxes[s : e + 1])
-                    out.append(ActionTube(video_id, c, geom, path.scores[s : e + 1]))
+        boxes, by_class = _by_class(by_video[video_id])
+        for c, by_frame in by_class.items():
+            for start, path_rows, path_scores in _link_rows(by_frame, link_params):
+                for s, e in trim_path(path_scores, trim_params):
+                    geom = TubeGeometry(start + s, boxes[path_rows[s : e + 1]])
+                    out.append(ActionTube(video_id, c, geom, path_scores[s : e + 1]))
     out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
     return out
 

@@ -4,7 +4,8 @@ Everything here is written naively on purpose: explicit loops, its own IoU
 and padding arithmetic, no code shared with the package under test. The
 exceptions are frozen copies of earlier package code: ``reference_evaluate``,
 ``reference_tracks_to_tubes``, the Detection-list detection I/O and filter,
-and the typed/per-field field readers ``reference_get_*``. They borrow the
+the typed/per-field field readers ``reference_get_*``, and the Box-based
+``reference_greedy_link`` and ``reference_build_tubes``. They borrow the
 package's overlap functions, record checks and result types, so their
 results can be compared with ``==`` or as bytes.
 """
@@ -727,6 +728,116 @@ def per_frame_greedy_link(frame_dets, class_id, iou_gate, max_misses, min_len):
         finish(p)
     finished.sort(key=lambda item: item[0])
     return [path for _, path in finished]
+
+
+# These are ``greedy_link`` and ``build_tubes`` as tubekit shipped them before
+# the row linker: one ``Box`` per candidate, ``iou2d`` as the gate (here
+# ``_gate_iou``, the same arithmetic) and one ``greedy_link`` call per class.
+# They share ``Box``, ``trim_path`` and the result types with the package, so
+# paths and tubes compare with ``==`` and saved tubes as bytes.
+
+
+class _ReferencePath:
+    __slots__ = ("start", "frames", "boxes", "scores", "score_sum", "created")
+
+    def __init__(self, frame, box, score, created):
+        self.start = frame
+        self.frames = [frame]
+        self.boxes = [box]
+        self.scores = [score]
+        self.score_sum = score
+        self.created = created
+
+    def claim(self, frame, box, score):
+        self.frames.append(frame)
+        self.boxes.append(box)
+        self.scores.append(score)
+        self.score_sum += score
+
+
+def reference_greedy_link(frame_dets, class_id, params):
+    from tubekit.geometry import Box
+    from tubekit.linking import LinkedPath
+
+    frames = {fd.frame: fd for fd in frame_dets}
+    frames = [frames[t] for t in sorted(frames)]
+    if not frames:
+        return []
+    boxes = np.concatenate([fd.boxes for fd in frames])
+    class_ids = np.concatenate([fd.class_ids for fd in frames])
+    scores = np.concatenate([fd.scores for fd in frames])
+    frame_of = np.repeat(np.arange(len(frames)), [len(fd.scores) for fd in frames])
+    rows = np.flatnonzero(class_ids == class_id)
+    rows = rows[np.lexsort((-scores[rows], frame_of[rows]))]
+    by_frame = {}
+    for i, (x1, y1, x2, y2), score in zip(frame_of[rows].tolist(), boxes[rows].tolist(),
+                                          scores[rows].tolist()):
+        by_frame.setdefault(frames[i].frame, []).append((Box(x1, y1, x2, y2), score))
+    if not by_frame:
+        return []
+
+    active = []
+    finished = []
+    created = 0
+
+    def finish(p):
+        if p.frames[-1] - p.start + 1 < params.min_len:
+            return
+        boxes, scores = [], []
+        for frame, box, score in zip(p.frames, p.boxes, p.scores):
+            bridged = frame - p.start - len(boxes)
+            if bridged:
+                boxes += [boxes[-1]] * bridged
+                scores += [0.0] * bridged
+            boxes.append(box)
+            scores.append(score)
+        finished.append((p.created, LinkedPath(class_id, p.start, boxes, scores)))
+
+    for t, cands in by_frame.items():
+        survivors = []
+        for p in active:
+            if t - 1 - p.frames[-1] > params.max_misses:
+                finish(p)
+            else:
+                survivors.append(p)
+        active = survivors
+        claimed = [False] * len(cands)
+        for p in sorted(active, key=lambda p: (-(p.score_sum / (t - p.start)), p.created)):
+            last = p.boxes[-1]
+            for j, (box, score) in enumerate(cands):
+                if not claimed[j] and _gate_iou(last, box) >= params.iou_gate:
+                    claimed[j] = True
+                    p.claim(t, box, score)
+                    break
+        for j, (box, score) in enumerate(cands):
+            if not claimed[j]:
+                active.append(_ReferencePath(t, box, score, created))
+                created += 1
+    for p in active:
+        finish(p)
+    finished.sort(key=lambda item: item[0])
+    return [path for _, path in finished]
+
+
+def reference_build_tubes(detections, link_params, trim_params):
+    from tubekit.datamodel import ActionTube
+    from tubekit.geometry import TubeGeometry
+    from tubekit.linking import trim_path
+
+    by_video = {}
+    for fd in detections:
+        by_video.setdefault(fd.video_id, []).append(fd)
+    out = []
+    for video_id in sorted(by_video):
+        frames = by_video[video_id]
+        classes = np.unique(np.concatenate([fd.class_ids for fd in frames])).tolist()
+        for c in classes:
+            for path in reference_greedy_link(frames, c, link_params):
+                for s, e in trim_path(path.scores, trim_params):
+                    geom = TubeGeometry(path.start_frame + s, path.boxes[s : e + 1])
+                    out.append(ActionTube(video_id, c, geom, path.scores[s : e + 1]))
+    out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ class TestFilterCommand:
 
 
 class TestNoDetectionObjects:
-    """The detection commands read the columns and never build a Detection."""
+    """The detection commands read the columns and never build a Detection or a Box."""
 
     @staticmethod
     def count_inits(monkeypatch, cls, counts):
@@ -244,9 +244,7 @@ class TestNoDetectionObjects:
 
         monkeypatch.setattr(FrameDetections, "entries", property(read_entries))
         assert cli.main([command, "--det", str(det), *map(str, argv)]) == 0
-        # build-tubes links each class's rows once, as Boxes.
-        assert counts == {"Detection": 0, "Box": rows if command == "build-tubes" else 0,
-                          "entries": 0}
+        assert counts == {"Detection": 0, "Box": 0, "entries": 0}
         assert rows > 0 and capsys.readouterr().out
 
 

@@ -95,7 +95,7 @@ def _assert_columns(frames):
                                   (fd.class_ids, np.int64, (n,)),
                                   (fd.scores, np.float64, (n,))):
             assert arr.dtype == dtype and arr.shape == shape and not arr.flags.writeable
-        assert type(fd.entries) is list
+        assert type(fd.entries) is tuple
         assert fd.boxes.tolist() == [[d.box.x1, d.box.y1, d.box.x2, d.box.y2]
                                      for d in fd.entries]
         assert fd.class_ids.tolist() == [d.class_id for d in fd.entries]
@@ -164,8 +164,8 @@ def test_frame_equality_repr_and_hash():
     fd = FrameDetections("a", 0, [_det((0.0, 0.0, 1.0, 1.0), 3, 0.5)])
     same = FrameDetections("a", 0, [_det((0.0, 0.0, 1.0, 1.0), 3, 0.5)])
     assert fd == same and fd != FrameDetections("a", 1, same.entries)
-    assert repr(fd) == ("FrameDetections(video_id='a', frame=0, entries=[Detection("
-                        "box=Box(x1=0.0, y1=0.0, x2=1.0, y2=1.0), class_id=3, score=0.5)])")
+    assert repr(fd) == ("FrameDetections(video_id='a', frame=0, entries=(Detection("
+                        "box=Box(x1=0.0, y1=0.0, x2=1.0, y2=1.0), class_id=3, score=0.5),))")
     with pytest.raises(TypeError):
         hash(fd)
     with pytest.raises(ValueError, match="frame must be >= 0"):

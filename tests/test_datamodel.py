@@ -391,9 +391,16 @@ class TestTypes:
         given = [Detection(Box(0, 0, 1, 1), 2, 1)]
         fd = FrameDetections("v", 0, given)
         given.append(Detection(Box(0, 0, 2, 2), 0, 0.5))
-        assert fd.entries == [Detection(Box(0, 0, 1, 1), 2, 1.0)]
+        assert fd.entries == (Detection(Box(0, 0, 1, 1), 2, 1.0),)
         assert type(fd.entries[0].score) is float
         assert fd.scores.tolist() == [1.0]
+
+    def test_frame_detections_entries_cannot_be_appended_to(self):
+        # An append to a list of entries would be lost: saving reads the columns.
+        fd = FrameDetections("v", 0, [])
+        with pytest.raises(AttributeError):
+            fd.entries.append(Detection(Box(0, 0, 1, 1), 2, 0.5))
+        assert fd.entries == () and fd.scores.tolist() == []
 
     def test_frame_detections_rejects_negative_frame(self):
         with pytest.raises(ValueError):

@@ -19,22 +19,22 @@ class TestFilterByTracks:
     def test_score_below_threshold_dropped(self):
         dets = [FrameDetections("v", 0, [Detection(Box(0, 0, 10, 10), 0, 0.04)])]
         out = filter_by_tracks(dets, [one_track()], score_thresh=0.05)
-        assert out[0].entries == []
+        assert out[0].entries == ()
 
     def test_no_overlapping_track_dropped(self):
         dets = [FrameDetections("v", 0, [Detection(Box(50, 50, 60, 60), 0, 0.9)])]
         out = filter_by_tracks(dets, [one_track()])
-        assert out[0].entries == []
+        assert out[0].entries == ()
 
     def test_track_on_other_frame_does_not_match(self):
         dets = [FrameDetections("v", 9, [Detection(Box(0, 0, 10, 10), 0, 0.9)])]
         out = filter_by_tracks(dets, [one_track(n=5)])  # track covers frames 0-4
-        assert out[0].entries == []
+        assert out[0].entries == ()
 
     def test_other_video_does_not_match(self):
         dets = [FrameDetections("w", 0, [Detection(Box(0, 0, 10, 10), 0, 0.9)])]
         out = filter_by_tracks(dets, [one_track(video="v")])
-        assert out[0].entries == []
+        assert out[0].entries == ()
 
     def test_class_labels_ignored(self):
         dets = [FrameDetections("v", 0, [Detection(Box(0, 0, 10, 10), 7, 0.9)])]
@@ -44,7 +44,7 @@ class TestFilterByTracks:
     def test_empty_tracks_drop_everything(self):
         dets = [FrameDetections("v", 0, [Detection(Box(0, 0, 10, 10), 0, 0.9)])]
         out = filter_by_tracks(dets, [])
-        assert out[0].entries == []
+        assert out[0].entries == ()
 
     def test_bad_params(self):
         with pytest.raises(ValueError):

@@ -385,3 +385,26 @@ class TestTracksToTubes:
             labels = segments_to_labels(segs, 8)
             best, _ = exhaustive_trim_best(mat[:, c], 0.5)
             assert labeling_energy(labels, mat[:, c], 0.5) == best
+
+
+class TestParamCounts:
+    FIELDS = [(LinkParams, "max_misses"), (LinkParams, "min_len"),
+              (TrimParams, "min_segment_length")]
+
+    @pytest.mark.parametrize("cls, name", FIELDS)
+    @pytest.mark.parametrize("value", [float("nan"), 2.5, True, 3.0, "3"])
+    def test_non_integer_count_rejected(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("cls, name", FIELDS)
+    def test_integer_counts_accepted(self, cls, name):
+        for value in (3, np.int64(3), np.uint8(3)):
+            assert getattr(cls(**{name: value}), name) == 3
+
+    @pytest.mark.parametrize("cls, name, least", [(LinkParams, "max_misses", 0),
+                                                  (LinkParams, "min_len", 1),
+                                                  (TrimParams, "min_segment_length", 1)])
+    def test_count_below_least_rejected(self, cls, name, least):
+        with pytest.raises(ValueError, match=f"^{name} must be >= {least}$"):
+            cls(**{name: least - 1})
