@@ -49,8 +49,12 @@ def iou2d(a: Box, b: Box) -> float:
 
 
 def _tuple_iou(a: tuple, b: tuple) -> float:
-    """IoU of two ``(row, x1, y1, x2, y2, area, score)`` tuples: the one scalar IoU, for
-    ``iou2d`` and the linking gate. Each conditional is builtin ``min`` or ``max``."""
+    """IoU of two ``(row, x1, y1, x2, y2, area, score)`` tuples; row and score are unused.
+
+    The one scalar IoU formula: ``iou2d`` and the linking gate both call it.
+    Each conditional is the builtin ``min`` or ``max`` of two floats, ``-0.0``
+    included.
+    """
     _, ax1, ay1, ax2, ay2, a_area, _ = a
     _, bx1, by1, bx2, by2, b_area, _ = b
     iw = (bx2 if bx2 < ax2 else ax2) - (bx1 if bx1 > ax1 else ax1)

@@ -90,8 +90,10 @@ def _link_rows(by_frame, params: LinkParams) -> list:
     """``greedy_link``'s rules on candidate tuples ``(row, x1, y1, x2, y2, area, score)``.
 
     ``by_frame`` lists ``(frame, candidates)`` in ascending frame order, each
-    frame's candidates strongest first. Returns the kept paths in creation
-    order as ``(start frame, rows, scores)``, one row and score per frame.
+    frame's candidates strongest first. Frames without a candidate may be
+    left out: a miss run is counted from frame numbers, and no claim can
+    happen there. Returns the kept paths in creation order as ``(start
+    frame, rows, scores)``, one row and score per frame.
     """
     gate = params.iou_gate
     active: list = []
