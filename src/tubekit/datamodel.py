@@ -17,7 +17,7 @@ from operator import itemgetter, length_hint
 
 import numpy as np
 
-from .geometry import Box, TubeGeometry
+from .geometry import Box, TubeGeometry, _is_integer, _start_frame
 from .jsonfmt import dumps, without_negative_zero
 
 __all__ = [
@@ -212,10 +212,16 @@ _CLASS_LIMIT = 2**63  # detection class ids are stored as int64
 
 def _check_class_id(class_id) -> None:
     """Reject a class id that is not a non-negative Python or numpy integer."""
-    if isinstance(class_id, bool) or not isinstance(class_id, (int, np.integer)):
+    if not _is_integer(class_id):
         raise ValueError(f"class id must be an integer, got {_shown(class_id)}")
     if class_id < 0:
         raise ValueError(f"class id must be >= 0, got {class_id}")
+
+
+def _check_id(what: str, value) -> None:
+    """Reject an id that is not a non-empty string, as the loaders do."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"{what} must be a non-empty string, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -248,6 +254,9 @@ class FrameDetections:
     __hash__ = None
 
     def __init__(self, video_id: str, frame: int, entries: list):
+        _check_id("video id", video_id)
+        if not _is_integer(frame):
+            raise ValueError(f"frame must be an integer, got {_shown(frame)}")
         rows = [(d.box.x1, d.box.y1, d.box.x2, d.box.y2, d.class_id, d.score) for d in entries]
         self._fill(video_id, frame, *_table(rows, len(rows)))
 
@@ -321,7 +330,7 @@ def _split_frames(keys, boxes, class_ids, scores, counts) -> list:
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundTruthTube:
     video_id: str
     tube_id: str
@@ -329,6 +338,8 @@ class GroundTruthTube:
     geometry: TubeGeometry
 
     def __post_init__(self):
+        _check_id("video id", self.video_id)
+        _check_id("tube id", self.tube_id)
         _check_class_id(self.class_id)
 
     @property
@@ -336,7 +347,7 @@ class GroundTruthTube:
         return (self.video_id, self.tube_id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Track:
     """Class-agnostic actor track, optionally with per-frame detector confidences."""
 
@@ -346,6 +357,8 @@ class Track:
     box_scores: list | None = None
 
     def __post_init__(self):
+        _check_id("video id", self.video_id)
+        _check_id("track id", self.track_id)
         if self.box_scores is not None:
             if len(self.box_scores) != len(self.geometry):
                 raise ValueError(
@@ -361,7 +374,7 @@ class Track:
         return (self.video_id, self.track_id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionTube:
     """A detected, temporally trimmed action tube with per-frame scores."""
 
@@ -372,6 +385,7 @@ class ActionTube:
     tube_score: float = field(default=None)
 
     def __post_init__(self):
+        _check_id("video id", self.video_id)
         _check_class_id(self.class_id)
         if len(self.frame_scores) != len(self.geometry):
             raise ValueError(
@@ -382,14 +396,14 @@ class ActionTube:
                 raise ValueError(f"frame score {s} outside [0, 1]")
         mean = sum(self.frame_scores) / len(self.frame_scores)
         if self.tube_score is None:
-            self.tube_score = mean
+            object.__setattr__(self, "tube_score", mean)
         elif not abs(self.tube_score - mean) <= 1e-5:  # NaN disagrees too
             raise ValueError(
                 f"tube score {self.tube_score} disagrees with mean frame score {mean}"
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrackScores:
     """Per-frame class score vectors aligned with one track's geometry."""
 
@@ -399,13 +413,25 @@ class TrackScores:
     scores: np.ndarray  # (frames, classes)
 
     def __post_init__(self):
+        _check_id("video id", self.video_id)
+        _check_id("track id", self.track_id)
+        _start_frame(self.start_frame)
         arr = np.asarray(self.scores, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
             raise ValueError(f"track '{self.track_id}': scores must be a non-empty matrix")
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError(f"track '{self.track_id}': scores outside [0, 1]")
         arr.setflags(write=False)
-        self.scores = arr
+        object.__setattr__(self, "scores", arr)
+
+    def __reduce__(self):  # a pickled or copied matrix is checked and read-only too
+        return TrackScores, (self.video_id, self.track_id, self.start_frame, self.scores)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.key, self.start_frame) == (other.key, other.start_frame)
+                and np.array_equal(self.scores, other.scores))
 
     @property
     def key(self):
@@ -502,7 +528,7 @@ def _get_str(obj, key) -> str:
 
 def _get_int(obj, key, minimum=None) -> int:
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+    if not _is_integer(v):
         raise ValueError(f"field '{key}' must be an integer")
     if minimum is not None and v < minimum:
         raise ValueError(f"field '{key}' must be >= {minimum}, got {v}")
@@ -597,7 +623,7 @@ def _get_dets(obj, config) -> list:
         if not isinstance(row, list) or len(row) != 6:
             raise ValueError(f"dets[{i}] must be [x1,y1,x2,y2,class,score]")
         coords = [_get_number(c, f"dets[{i}]") for c in row[:4]]
-        if isinstance(row[4], bool) or not isinstance(row[4], int) or row[4] < 0:
+        if not _is_integer(row[4]) or row[4] < 0:
             raise ValueError(f"dets[{i}] class must be an integer >= 0")
         _check_class(row[4], config)
         if row[4] >= _CLASS_LIMIT:

@@ -74,16 +74,32 @@ def box_iou(a, b) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
-    ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
-    inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
-    area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
-    union = area_a + area_b - inter
-    # Not `union > 0.0`: an overflowed (NaN) union divides, as in iou2d.
-    return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge boxes: inf or NaN, as iou2d
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
+        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+        area_a = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+        area_b = (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+        union = area_a + area_b - inter
+        # Not `union > 0.0`: an overflowed (NaN) union divides, as in iou2d.
+        return np.divide(inter, union, out=np.zeros_like(union), where=~(union <= 0.0))
 
 
+def _is_integer(value) -> bool:
+    """True for a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _start_frame(value) -> int:
+    """``value`` as a Python int, if it is a non-negative Python or numpy integer."""
+    if not _is_integer(value):
+        raise ValueError(f"start frame must be an integer, got {value!r}")
+    if value < 0:
+        raise ValueError(f"start frame must be >= 0, got {value}")
+    return int(value)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class TubeGeometry:
     """A temporally contiguous run of boxes, one per frame from ``start_frame`` (>= 0) on.
 
@@ -92,11 +108,11 @@ class TubeGeometry:
     """
 
     __slots__ = ("start_frame", "boxes")
+    start_frame: int
+    boxes: np.ndarray
 
     def __init__(self, start_frame: int, boxes) -> None:
-        self.start_frame = int(start_frame)
-        if self.start_frame < 0:
-            raise ValueError(f"start frame must be >= 0, got {self.start_frame}")
+        object.__setattr__(self, "start_frame", _start_frame(start_frame))
         if isinstance(boxes, np.ndarray):
             arr = np.array(boxes, dtype=np.float64)
         else:
@@ -114,7 +130,10 @@ class TubeGeometry:
         if np.any(arr[:, 2] < arr[:, 0]) or np.any(arr[:, 3] < arr[:, 1]):
             raise ValueError("tube box corners out of order")
         arr.setflags(write=False)
-        self.boxes = arr
+        object.__setattr__(self, "boxes", arr)
+
+    def __reduce__(self):  # a pickled or copied geometry is checked and read-only too
+        return TubeGeometry, (self.start_frame, self.boxes)
 
     def __len__(self) -> int:
         return self.boxes.shape[0]

@@ -15,7 +15,7 @@ from itertools import count
 import numpy as np
 
 from .datamodel import ActionTube, _columns
-from .geometry import Box, TubeGeometry, _tuple_iou
+from .geometry import Box, TubeGeometry, _is_integer, _tuple_iou
 
 __all__ = [
     "LinkParams",
@@ -30,7 +30,7 @@ __all__ = [
 
 def _check_count(name: str, value, least: int) -> None:
     """Reject a count that is not a Python or numpy integer, or is below ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")

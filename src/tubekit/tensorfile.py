@@ -14,6 +14,8 @@ import struct
 
 import numpy as np
 
+from .geometry import _is_integer
+
 __all__ = ["read_tensors", "write_tensors"]
 
 _MAGIC = b"TKT1"
@@ -80,9 +82,7 @@ def read_tensors(path) -> dict:
                 raise TensorFileError(f"{path}: duplicate tensor name '{name}'")
             if entry["dtype"] != "f32":
                 raise TensorFileError(f"{path}: tensor '{name}' has unsupported dtype")
-            if not isinstance(shape, list) or any(
-                isinstance(d, bool) or not isinstance(d, int) or d < 0 for d in shape
-            ):
+            if not isinstance(shape, list) or any(not _is_integer(d) or d < 0 for d in shape):
                 raise TensorFileError(f"{path}: tensor '{name}' has a bad shape")
             count = 1
             for d in shape:

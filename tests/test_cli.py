@@ -188,6 +188,20 @@ class TestFilterCommand:
         assert "warning" in proc.stderr.decode()
         assert "kept 0 of 1" in proc.stdout.decode()
 
+    def test_huge_boxes_print_no_warning(self, tmp_path):
+        # Corners near the float limit overflow the IoU arithmetic. The NaN
+        # overlap fails every threshold, and numpy must not warn on stderr.
+        box = "[-1e308,-1e308,1e308,1e308"
+        det = tmp_path / "det.ndjson"
+        det.write_text('{"schema":"tubekit.det.v1"}\n'
+                       f'{{"video":"v","frame":0,"dets":[{box},0,0.5]]}}\n')
+        tracks = tmp_path / "tracks.ndjson"
+        tracks.write_text('{"schema":"tubekit.track.v1"}\n'
+                          f'{{"video":"v","track":"k","start":0,"boxes":[{box}]]}}\n')
+        proc = run_cli("filter-dets", "--det", det, "--tracks", tracks,
+                       "--out", tmp_path / "filtered.ndjson")
+        assert (proc.stdout.decode(), proc.stderr.decode()) == ("kept 0 of 1 detections\n", "")
+
     def test_class_above_float_precision_round_trips(self, tmp_path):
         # 2**53 + 1 has no float64; the class column must hold it exactly.
         det = tmp_path / "det.ndjson"

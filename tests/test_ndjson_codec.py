@@ -322,7 +322,7 @@ def test_byte_order_mark_keeps_json_loads_message(tmp_path, name, index):
 
 
 # ---------------------------------------------------------------------------
-# the trusted Detection/Box constructor
+# loaded frames against frames built by the public constructors
 
 
 def test_loaded_detections_equal_public_constructors(tmp_path):
