@@ -279,6 +279,9 @@ class FrameDetections:
             )
         return self._entries
 
+    def __reduce__(self):  # a pickled or copied frame is checked and read-only too
+        return FrameDetections, (self.video_id, self.frame, list(self.entries))
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
@@ -871,8 +874,13 @@ def load_track_scores(path) -> list:
 
 
 def save_track_scores(items, path) -> None:
+    items = sorted(items, key=lambda t: t.key)
     lines = []
-    for ts in sorted(items, key=lambda t: t.key):
+    for ts in items:
+        width, classes = items[0].scores.shape[1], ts.scores.shape[1]
+        if classes != width:  # load_track_scores would refuse the file
+            raise ValueError(f"track '{ts.track_id}' in video '{ts.video_id}' has "
+                             f"{classes} classes, expected {width}")
         lines.append(dumps({
             "video": ts.video_id,
             "track": ts.track_id,

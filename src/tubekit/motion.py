@@ -90,6 +90,29 @@ def motion_iou(tube: TubeGeometry, offsets) -> tuple:
     return sum(per_offset) / len(per_offset), tuple(used)
 
 
+def _motion_rows(boxes, lengths, offsets) -> tuple:
+    """``motion_iou`` of k tubes at once, equal to it bit for bit.
+
+    Row i of the (k, L, 4) ``boxes`` holds a tube of ``lengths[i]`` boxes,
+    padded to L. One ``box_iou`` call scores the pairs (t, t+d) of every
+    offset d as a (k, offsets, L) array; pairs past a row's end are clipped
+    and never summed. Returns the (k,) motion values and the
+    (k, len(offsets)) mask of the offsets each row used.
+    """
+    offsets = np.asarray(offsets)
+    lengths = np.asarray(lengths)[:, None]
+    k, width = boxes.shape[:2]
+    later = np.take(boxes, np.arange(width) + offsets[:, None], axis=1, mode="clip")
+    sums = np.add.accumulate(box_iou(boxes[:, None], later), axis=2)
+    used = lengths > offsets
+    windows = np.maximum(lengths - offsets, 1)
+    means = sums[np.arange(k)[:, None], np.arange(len(offsets)), windows - 1] / windows
+    # Left to right from 0 over the used offsets, as motion_iou's sum().
+    total = np.add.accumulate(np.where(used, means, 0.0), axis=1)[:, -1]
+    count = used.sum(axis=1)
+    return np.where(count > 0, total / np.maximum(count, 1), 1.0), used
+
+
 def classify_motion(value: float, config: DatasetConfig) -> MotionCategory:
     """Bin a motion value into LARGE / MEDIUM / SMALL.
 

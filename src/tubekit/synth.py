@@ -23,7 +23,7 @@ from .datamodel import (
     builtin_config,
 )
 from .geometry import Box, TubeGeometry
-from .motion import classify_motion, motion_iou
+from .motion import _motion_rows, classify_motion, motion_iou
 from .roialign import FeatureGrid
 
 __all__ = ["SynthSpec", "generate", "spec_from_dict"]
@@ -34,6 +34,8 @@ _MARGIN = 8.0
 # Bounds on the work a spec may ask for: planted frames, and float32 feature values (1 GiB).
 _MAX_FRAMES = 10**5
 _MAX_FEATURE_VALUES = 2**28
+# Box pairs one lockstep bisection round may score, unless one tube alone needs more.
+_MAX_PAIRS = 2**19
 
 
 @dataclass(frozen=True)
@@ -95,30 +97,56 @@ def _lane_geometry(length: int, start: int, speed: float, direction: int,
     return TubeGeometry(start, np.stack([x, y, x + _BOX, y + _BOX], axis=1))
 
 
-def _solve_speed(target: float, length: int, start: int, direction: int,
-                 lane_y: float, offsets) -> tuple:
-    """Bisection on speed so the planted tube's motion value hits target."""
+def _solve_speeds(targets, lengths, directions, lane_ys, offsets) -> list:
+    """Bisection on speed so each planted tube's motion value hits its target.
 
-    def measure(speed: float) -> float:
-        geom = _lane_geometry(length, start, speed, direction, lane_y)
-        return motion_iou(geom, offsets)[0]
+    Every tube of a group is bisected in lockstep: one round builds all their
+    lanes, as ``_lane_geometry`` does, and scores them with one ``_motion_rows``
+    call. A group holds as many consecutive tubes as fit in ``_MAX_PAIRS`` box
+    pairs, and at least one. Returns one (speed, achieved) per tube; speed is
+    None where even the fastest lane overlaps itself too much.
+    """
+    solved = []
+    i = 0
+    while i < len(targets):
+        j = i + 1
+        while j < len(targets) and (j + 1 - i) * max(lengths[i:j + 1]) * len(offsets) \
+                <= _MAX_PAIRS:
+            j += 1
+        columns = (targets, lengths, directions, lane_ys)
+        solved += _solve_group(*(np.array(c[i:j]) for c in columns), offsets)
+        i = j
+    return solved
+
+
+def _solve_group(targets, lengths, directions, lane_ys, offsets) -> list:
+    """``_solve_speeds`` for one group of tubes, given as arrays."""
+    x0 = np.where(directions > 0, _MARGIN, _CANVAS - _BOX - _MARGIN)
+    steps = np.arange(lengths.max())
+
+    def measure(rows, speeds):
+        x = x0[rows, None] + (directions[rows] * speeds)[:, None] * steps
+        y = np.broadcast_to(lane_ys[rows, None], x.shape)
+        boxes = np.stack([x, y, x + _BOX, y + _BOX], axis=2)
+        return _motion_rows(boxes, lengths[rows], offsets)[0]
 
     max_travel = _CANVAS - _BOX - 2.0 * _MARGIN
-    v_max = max_travel / max(length - 1, 1)
-    still = measure(0.0)
-    if target >= 1.0 or still <= target:
-        return 0.0, still
-    fastest = measure(v_max)
-    if fastest > target + 0.02:
-        return None, fastest
-    lo, hi = 0.0, v_max
-    for _ in range(60):
+    v_max = max_travel / np.maximum(lengths - 1, 1)
+    rows = np.arange(len(targets))
+    still = measure(rows, np.zeros(len(rows)))
+    fastest = measure(rows, v_max)
+    settled = (targets >= 1.0) | (still <= targets)
+    live = rows[~settled & ~(fastest > targets + 0.02)]
+    lo, hi = np.zeros(len(live)), v_max[live]
+    for _ in range(60 if len(live) else 0):
         mid = 0.5 * (lo + hi)
-        if measure(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi, measure(hi)
+        above = measure(live, mid) > targets[live]
+        lo, hi = np.where(above, mid, lo), np.where(above, hi, mid)
+    solved = [(0.0, s) if done else (None, f)
+              for s, f, done in zip(still.tolist(), fastest.tolist(), settled)]
+    for i, speed, achieved in zip(live, hi.tolist(), measure(live, hi).tolist()):
+        solved[i] = (speed, achieved)
+    return solved
 
 
 def generate(spec: SynthSpec, config: DatasetConfig | None = None) -> tuple:
@@ -143,9 +171,8 @@ def generate(spec: SynthSpec, config: DatasetConfig | None = None) -> tuple:
     for vi in range(spec.num_videos):
         video_id = f"v{vi:03d}"
         rng = np.random.default_rng([spec.seed, vi])
-        planted = []
+        drawn = []
         for j in range(spec.tubes_per_video):
-            tube_id = f"a{j:02d}"
             length = int(rng.integers(min_len, spec.frames_per_video + 1))
             start = int(rng.integers(0, spec.frames_per_video - length + 1))
             class_id = int(rng.integers(0, spec.num_classes))
@@ -153,15 +180,20 @@ def generate(spec: SynthSpec, config: DatasetConfig | None = None) -> tuple:
             target = spec.motion_targets[(vi * spec.tubes_per_video + j)
                                          % len(spec.motion_targets)]
             lane_y = lane_h * j + (lane_h - _BOX) / 2.0
-            speed, achieved = _solve_speed(
-                target, length, start, direction, lane_y, config.motion_offsets
-            )
+            drawn.append((target, length, start, class_id, direction, lane_y))
+        targets, lengths, _, _, directions, lane_ys = zip(*drawn)
+        solved = _solve_speeds(targets, lengths, directions, lane_ys, config.motion_offsets)
+        planted = []
+        for j, (target, length, start, class_id, direction, lane_y) in enumerate(drawn):
+            tube_id = f"a{j:02d}"
+            speed, achieved = solved[j]
             if speed is None or abs(achieved - target) > 0.02:
                 raise ValueError(
                     f"cannot realize motion target {target} for tube "
                     f"{video_id}/{tube_id} (closest achievable {achieved:.4f})"
                 )
             geom = _lane_geometry(length, start, speed, direction, lane_y)
+            achieved = motion_iou(geom, config.motion_offsets)[0]
             gts.append(GroundTruthTube(video_id, tube_id, class_id, geom))
             planted.append((tube_id, class_id, geom, speed, direction))
             report_tubes.append({

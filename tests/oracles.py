@@ -4,10 +4,11 @@ Everything here is written naively on purpose: explicit loops, its own IoU
 and padding arithmetic, no code shared with the package under test. The
 exceptions are frozen copies of earlier package code: ``reference_evaluate``,
 ``reference_tracks_to_tubes``, the Detection-list detection I/O and filter,
-the typed/per-field field readers ``reference_get_*``, and the Box-based
-``reference_greedy_link`` and ``reference_build_tubes``. They borrow the
-package's overlap functions, record checks and result types, so their
-results can be compared with ``==`` or as bytes.
+the typed/per-field field readers ``reference_get_*``, the Box-based
+``reference_greedy_link`` and ``reference_build_tubes``, and the scalar
+``reference_solve_speed``. They borrow the package's overlap functions,
+record checks and result types, so their results can be compared with
+``==``, ``repr`` or as bytes.
 """
 
 from __future__ import annotations
@@ -1195,3 +1196,40 @@ def reference_get_matrix(obj, width) -> list:
             raise ValueError(f"scores[{i}] has {len(vals)} classes, expected {width}")
         mat.append(vals)
     return mat
+
+
+# ---------------------------------------------------------------------------
+# the scalar speed solver, kept as the reference for the lockstep one
+#
+# This is ``synth._solve_speed`` as tubekit shipped it while each planted tube
+# was bisected on its own: one ``_lane_geometry`` and one ``motion_iou`` call
+# per step. It shares both with the package, because it checks every speed
+# and motion value to the bit.
+
+
+def reference_solve_speed(target: float, length: int, start: int, direction: int,
+                          lane_y: float, offsets) -> tuple:
+    """Bisection on speed so the planted tube's motion value hits target."""
+    from tubekit.motion import motion_iou
+    from tubekit.synth import _BOX, _CANVAS, _MARGIN, _lane_geometry
+
+    def measure(speed: float) -> float:
+        geom = _lane_geometry(length, start, speed, direction, lane_y)
+        return motion_iou(geom, offsets)[0]
+
+    max_travel = _CANVAS - _BOX - 2.0 * _MARGIN
+    v_max = max_travel / max(length - 1, 1)
+    still = measure(0.0)
+    if target >= 1.0 or still <= target:
+        return 0.0, still
+    fastest = measure(v_max)
+    if fastest > target + 0.02:
+        return None, fastest
+    lo, hi = 0.0, v_max
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if measure(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return hi, measure(hi)

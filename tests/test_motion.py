@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from tubekit.datamodel import FileFormatError, GroundTruthTube, builtin_config
 from tubekit.geometry import TubeGeometry
@@ -13,6 +15,7 @@ from tubekit.motion import (
     load_motion_labels,
     motion_cdf,
     motion_iou,
+    _motion_rows,
     save_motion_labels,
     tertile_thresholds,
     write_cdf_csv,
@@ -78,6 +81,26 @@ class TestMotionIou:
         scaled = TubeGeometry(0, tube.boxes * 3.0)
         assert motion_iou(shifted, MS.motion_offsets)[0] == pytest.approx(v0, abs=1e-12)
         assert motion_iou(scaled, MS.motion_offsets)[0] == pytest.approx(v0, abs=1e-9)
+
+
+@given(st.lists(st.integers(1, 50), min_size=1, max_size=6),
+       st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       st.integers(0, 2**32 - 1))
+@example([1], [4], 0)
+@example([1, 3, 50, 4, 5], [4, 8, 16, 24, 36], 1)
+@example([12, 12], [4, 4, 2], 2)
+def test_motion_rows_match_motion_iou(lengths, offsets, seed):
+    """The batched kernel gives motion_iou's values and used offsets, bit for bit."""
+    rng = np.random.default_rng(seed)
+    # Random walks of boxes, padded with NaN that the kernel must never read.
+    boxes = np.full((len(lengths), max(lengths), 4), np.nan)
+    for i, n in enumerate(lengths):
+        xy = rng.uniform(0.0, 100.0, 2) + np.cumsum(rng.uniform(-9.0, 9.0, (n, 2)), axis=0)
+        boxes[i, :n] = np.concatenate([xy, xy + rng.uniform(5.0, 40.0, (n, 2))], axis=1)
+    values, used = _motion_rows(boxes, lengths, offsets)
+    for i, n in enumerate(lengths):
+        got = (float(values[i]), tuple(d for d, u in zip(offsets, used[i]) if u))
+        assert repr(got) == repr(motion_iou(TubeGeometry(0, boxes[i, :n]), offsets))
 
 
 class TestClassifyMotion:

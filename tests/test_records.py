@@ -92,11 +92,14 @@ def _arrays(record):
     return [record.geometry.boxes]
 
 
-@pytest.mark.parametrize("duplicate", [
+DUPLICATES = pytest.mark.parametrize("duplicate", [
     lambda r: pickle.loads(pickle.dumps(r)),
     copy.deepcopy,
     copy.copy,
 ], ids=["pickle", "deepcopy", "copy"])
+
+
+@DUPLICATES
 @pytest.mark.parametrize("record", [
     _geometry(),
     TrackScores("v", "k", np.int64(3), np.array([[0.25, 0.5], [1.0, 0.0]])),
@@ -109,6 +112,27 @@ def test_copies_are_equal_and_read_only(record, duplicate):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0, 0] = 0.5
+
+
+@DUPLICATES
+def test_frame_copies_are_equal_and_read_only(duplicate):
+    fd = FrameDetections("v", 4, [Detection(Box(0, 0, 5, 5), 2, 0.5),
+                                  Detection(Box(1, 1, 6, 6), 0, 1.0)])
+    twin = duplicate(fd)
+    assert twin == fd and type(twin) is FrameDetections
+    for column in (twin.boxes, twin.class_ids, twin.scores):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 0
+
+
+def test_track_scores_of_mixed_class_counts_are_not_saved(tmp_path):
+    path = tmp_path / "scores.ndjson"
+    items = [TrackScores("v", "b", 0, [[0.5, 0.5, 0.0]]), TrackScores("v", "a", 0, [[0.5, 0.5]])]
+    with pytest.raises(ValueError) as exc:
+        save_track_scores(items, path)
+    assert str(exc.value) == "track 'b' in video 'v' has 3 classes, expected 2"
+    assert not path.exists()
 
 
 def test_track_scores_compare_by_value():
@@ -235,7 +259,7 @@ def frame_lists(draw):
 @st.composite
 def track_score_files(draw):
     # One class count per file: load_track_scores takes the width of the
-    # first matrix as the file's, and save_track_scores does not check it.
+    # first matrix as the file's, and save_track_scores refuses mixed counts.
     width = draw(st.integers(1, 3))
 
     def make(video, track):
