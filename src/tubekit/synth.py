@@ -34,8 +34,9 @@ _MARGIN = 8.0
 # Bounds on the work a spec may ask for: planted frames, and float32 feature values (1 GiB).
 _MAX_FRAMES = 10**5
 _MAX_FEATURE_VALUES = 2**28
-# Box pairs one lockstep bisection round may score, unless one tube alone needs more.
-_MAX_PAIRS = 2**19
+# Box pairs one lockstep bisection round may score (about 90 bytes each of box_iou
+# temporaries), unless one tube alone needs more.
+_MAX_PAIRS = 2**17
 
 
 @dataclass(frozen=True)
@@ -106,6 +107,7 @@ def _solve_speeds(targets, lengths, directions, lane_ys, offsets) -> list:
     pairs, and at least one. Returns one (speed, achieved) per tube; speed is
     None where even the fastest lane overlaps itself too much.
     """
+    columns = (targets, lengths, directions, lane_ys)
     solved = []
     i = 0
     while i < len(targets):
@@ -113,7 +115,6 @@ def _solve_speeds(targets, lengths, directions, lane_ys, offsets) -> list:
         while j < len(targets) and (j + 1 - i) * max(lengths[i:j + 1]) * len(offsets) \
                 <= _MAX_PAIRS:
             j += 1
-        columns = (targets, lengths, directions, lane_ys)
         solved += _solve_group(*(np.array(c[i:j]) for c in columns), offsets)
         i = j
     return solved
@@ -193,6 +194,7 @@ def generate(spec: SynthSpec, config: DatasetConfig | None = None) -> tuple:
                     f"{video_id}/{tube_id} (closest achievable {achieved:.4f})"
                 )
             geom = _lane_geometry(length, start, speed, direction, lane_y)
+            # The public motion_iou, which perfbench's trace wraps, gives the same value.
             achieved = motion_iou(geom, config.motion_offsets)[0]
             gts.append(GroundTruthTube(video_id, tube_id, class_id, geom))
             planted.append((tube_id, class_id, geom, speed, direction))
