@@ -127,7 +127,7 @@ def _cmd_label_motion(args) -> int:
         counts[lab.category.label] += 1
     sys.stdout.write(dumps({"tubes": len(labels), "counts": counts}) + "\n")
     if args.tertiles and labels:
-        q1, q2 = motion.tertile_thresholds(gts, config)
+        q1, q2 = motion.tertiles([lab.motion_iou for lab in labels.values()])
         sys.stdout.write(f"tertile thresholds {q1:.6f} {q2:.6f}\n")
     return 0
 
@@ -272,14 +272,7 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tubekit",
-        description="Action-tube metrics, motion labeling, tube building and feature pooling.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval-frames", help="frame-level AP/mAP")
+def _eval_frames_args(p):
     p.add_argument("--gt", required=True)
     p.add_argument("--det", required=True)
     _add_dataset_args(p)
@@ -289,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p)
     p.set_defaults(func=_cmd_eval_frames)
 
-    p = sub.add_parser("eval-videos", help="video-level (tube overlap) AP/mAP")
+
+def _eval_videos_args(p):
     p.add_argument("--gt", required=True)
     p.add_argument("--tubes", required=True)
     _add_dataset_args(p)
@@ -301,7 +295,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p)
     p.set_defaults(func=_cmd_eval_videos)
 
-    p = sub.add_parser("label-motion", help="label ground-truth tubes by motion")
+
+def _label_motion_args(p):
     p.add_argument("--gt", required=True)
     _add_dataset_args(p)
     p.add_argument("--out", required=True)
@@ -309,7 +304,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also print empirical tertile thresholds")
     p.set_defaults(func=_cmd_label_motion)
 
-    p = sub.add_parser("motion-cdf", help="cumulative motion distribution as CSV")
+
+def _motion_cdf_args(p):
     p.add_argument("--gt", required=True)
     _add_dataset_args(p, default="multisports")
     p.add_argument("--offset-seconds", type=float, default=1.0)
@@ -318,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_motion_cdf)
 
-    p = sub.add_parser("build-tubes", help="link and trim detections into tubes")
+
+def _build_tubes_args(p):
     p.add_argument("--det", required=True)
     _add_dataset_args(p)
     p.add_argument("--out", required=True)
@@ -330,7 +327,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p)
     p.set_defaults(func=_cmd_build_tubes)
 
-    p = sub.add_parser("trim-tracks", help="trim scored tracks into tubes")
+
+def _trim_tracks_args(p):
     p.add_argument("--tracks", required=True)
     p.add_argument("--scores", required=True)
     p.add_argument("--out", required=True)
@@ -339,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p)
     p.set_defaults(func=_cmd_trim_tracks)
 
-    p = sub.add_parser("filter-dets", help="drop detections not lying on a track")
+
+def _filter_dets_args(p):
     p.add_argument("--det", required=True)
     p.add_argument("--tracks", required=True)
     p.add_argument("--score-thresh", type=float, default=0.05)
@@ -347,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_filter_dets)
 
-    p = sub.add_parser("pool-features", help="pool clip features along tracks")
+
+def _pool_features_args(p):
     p.add_argument("--features", required=True, help=".tkt with 'features' and 'spatial_stride'")
     p.add_argument("--tracks", required=True)
     p.add_argument("--tfa", choices=("maxpool", "tcn", "aspp"), required=True,
@@ -360,23 +360,66 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_jobs_arg(p)
     p.set_defaults(func=_cmd_pool_features)
 
-    p = sub.add_parser("synth", help="generate a seeded synthetic fixture")
+
+def _synth_args(p):
     p.add_argument("--spec", required=True, help="synth spec JSON file")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_synth)
 
+
+# Each subcommand: (help line, function that adds its arguments to a parser).
+_COMMANDS = {
+    "eval-frames": ("frame-level AP/mAP", _eval_frames_args),
+    "eval-videos": ("video-level (tube overlap) AP/mAP", _eval_videos_args),
+    "label-motion": ("label ground-truth tubes by motion", _label_motion_args),
+    "motion-cdf": ("cumulative motion distribution as CSV", _motion_cdf_args),
+    "build-tubes": ("link and trim detections into tubes", _build_tubes_args),
+    "trim-tracks": ("trim scored tracks into tubes", _trim_tracks_args),
+    "filter-dets": ("drop detections not lying on a track", _filter_dets_args),
+    "pool-features": ("pool clip features along tracks", _pool_features_args),
+    "synth": ("generate a seeded synthetic fixture", _synth_args),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tubekit",
+        description="Action-tube metrics, motion labeling, tube building and feature pooling.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_args) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_line))
     return parser
 
 
+def _parse_command(argv: list):
+    """Parse ``argv`` with only the parser of the command it starts with.
+
+    That parser is the one ``_build_parser`` makes for the command, so it
+    parses, prints help and reports errors exactly as the full parser would.
+    Returns None when only the full parser can: no known command comes
+    first, or arguments are left over, which the full parser reports with
+    its own usage.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    parser = argparse.ArgumentParser(prog=f"tubekit {argv[0]}")
+    _COMMANDS[argv[0]][1](parser)
+    args, rest = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return None if rest else args
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_command(argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     if getattr(args, "sweep", None):
         # A sweep prints one mAP per threshold; it has no single report to
         # write PR curves or a motion breakdown for.
         for flag, given in (("--pr-csv", args.pr_csv), ("--motion", args.motion)):
             if given:
-                parser.error(f"eval-videos: {flag} cannot be combined with --sweep")
+                _build_parser().error(f"eval-videos: {flag} cannot be combined with --sweep")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # FileFormatError and TensorFileError included

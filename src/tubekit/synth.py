@@ -23,7 +23,7 @@ from .datamodel import (
     builtin_config,
 )
 from .geometry import Box, TubeGeometry
-from .motion import _motion_rows, classify_motion, motion_iou
+from .motion import _motion_rows, _pair_groups, classify_motion, motion_iou
 from .roialign import FeatureGrid
 
 __all__ = ["SynthSpec", "generate", "spec_from_dict"]
@@ -34,9 +34,6 @@ _MARGIN = 8.0
 # Bounds on the work a spec may ask for: planted frames, and float32 feature values (1 GiB).
 _MAX_FRAMES = 10**5
 _MAX_FEATURE_VALUES = 2**28
-# Box pairs one lockstep bisection round may score (about 90 bytes each of box_iou
-# temporaries), unless one tube alone needs more.
-_MAX_PAIRS = 2**17
 
 
 @dataclass(frozen=True)
@@ -103,20 +100,15 @@ def _solve_speeds(targets, lengths, directions, lane_ys, offsets) -> list:
 
     Every tube of a group is bisected in lockstep: one round builds all their
     lanes, as ``_lane_geometry`` does, and scores them with one ``_motion_rows``
-    call. A group holds as many consecutive tubes as fit in ``_MAX_PAIRS`` box
-    pairs, and at least one. Returns one (speed, achieved) per tube; speed is
-    None where even the fastest lane overlaps itself too much.
+    call. The groups are ``motion._pair_groups``, longest tube first. Returns
+    one (speed, achieved) per tube, in order; speed is None where even the
+    fastest lane overlaps itself too much.
     """
-    columns = (targets, lengths, directions, lane_ys)
-    solved = []
-    i = 0
-    while i < len(targets):
-        j = i + 1
-        while j < len(targets) and (j + 1 - i) * max(lengths[i:j + 1]) * len(offsets) \
-                <= _MAX_PAIRS:
-            j += 1
-        solved += _solve_group(*(np.array(c[i:j]) for c in columns), offsets)
-        i = j
+    columns = [np.array(c) for c in (targets, lengths, directions, lane_ys)]
+    solved = [None] * len(targets)
+    for rows in _pair_groups(lengths, len(offsets)):
+        for i, result in zip(rows, _solve_group(*(c[rows] for c in columns), offsets)):
+            solved[i] = result
     return solved
 
 

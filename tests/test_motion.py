@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tubekit.datamodel import FileFormatError, GroundTruthTube, builtin_config
+from tubekit import motion
 from tubekit.geometry import TubeGeometry
 from tubekit.motion import (
     MotionCategory,
@@ -16,6 +18,7 @@ from tubekit.motion import (
     motion_cdf,
     motion_iou,
     _motion_rows,
+    _pair_groups,
     save_motion_labels,
     tertile_thresholds,
     write_cdf_csv,
@@ -61,6 +64,15 @@ class TestMotionIou:
         with pytest.raises(ValueError):
             motion_iou(moving_tube(10, 1.0), [0])
 
+    @pytest.mark.parametrize("offsets", [[2.7], [4, 8.0], [True], [4, False], ["4"], [None]])
+    def test_non_integer_offsets_error(self, offsets):
+        with pytest.raises(ValueError, match="offsets must be integers"):
+            motion_iou(moving_tube(10, 1.0), offsets)
+
+    def test_numpy_integer_offsets(self):
+        tube = moving_tube(30, 1.5)
+        assert repr(motion_iou(tube, np.array([4, 8]))) == repr(motion_iou(tube, [4, 8]))
+
     def test_reversal_invariance(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
@@ -101,6 +113,84 @@ def test_motion_rows_match_motion_iou(lengths, offsets, seed):
     for i, n in enumerate(lengths):
         got = (float(values[i]), tuple(d for d, u in zip(offsets, used[i]) if u))
         assert repr(got) == repr(motion_iou(TubeGeometry(0, boxes[i, :n]), offsets))
+
+
+def random_gts(lengths, seed):
+    """Ground-truth tubes of random-walk boxes, one per length."""
+    rng = np.random.default_rng(seed)
+    gts = []
+    for i, n in enumerate(lengths):
+        xy = rng.uniform(0.0, 100.0, 2) + np.cumsum(rng.uniform(-9.0, 9.0, (n, 2)), axis=0)
+        boxes = np.concatenate([xy, xy + rng.uniform(5.0, 40.0, (n, 2))], axis=1)
+        gts.append(GroundTruthTube("v", f"t{i}", 0, TubeGeometry(0, boxes)))
+    return gts
+
+
+def reference_motion_cdf(gts, offset, edges):
+    """``motion_cdf`` from one ``motion_iou`` call per tube."""
+    measured = [motion_iou(gt.geometry, [offset]) for gt in gts]
+    values = [v for v, used in measured if used]
+    points = [(float(e), sum(1 for v in values if v <= e) / len(values) if values else 0.0)
+              for e in edges]
+    return points, len(measured) - len(values)
+
+
+@given(st.lists(st.integers(1, 700), max_size=8),
+       st.lists(st.integers(1, 40), min_size=1, max_size=6),
+       st.sampled_from([None, 1, 200, 3000]),
+       st.integers(0, 2**32 - 1))
+@example([], [4, 8, 16, 24, 36], None, 0)
+@example([1, 2, 3, 3], [4, 8, 16, 24, 36], None, 1)      # shorter than every offset
+@example([700, 699, 1, 40, 40, 5], [4, 8, 16, 24, 36], None, 2)
+@example([60, 130, 3, 20, 45], [4, 8, 16, 24, 36], 1000, 3)
+def test_batched_labelling_matches_motion_iou(lengths, offsets, cap, seed):
+    """label_tubes, motion_cdf and tertile_thresholds equal per-tube motion_iou, by repr."""
+    gts = random_gts(lengths, seed)
+    config = dataclasses.replace(MS, motion_offsets=tuple(offsets))
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(motion, "_MAX_PAIRS", cap)
+        labels = label_tubes(gts, config)
+        cdf = motion_cdf(gts, offsets[0], [0.0, 0.25, 0.5, 1.0])
+        if gts:
+            thresholds = tertile_thresholds(gts, config)
+        else:
+            with pytest.raises(ValueError, match="no tubes"):
+                tertile_thresholds(gts, config)
+    expected = [motion_iou(gt.geometry, offsets) for gt in gts]
+    assert list(labels) == [gt.key for gt in gts]
+    for lab, (value, used) in zip(labels.values(), expected):
+        assert repr((lab.motion_iou, lab.offsets_used)) == repr((value, used))
+        assert lab.category == classify_motion(value, config)
+    assert repr(cdf) == repr(reference_motion_cdf(gts, offsets[0], [0.0, 0.25, 0.5, 1.0]))
+    if gts:
+        q1, q2 = np.quantile(np.array([v for v, _ in expected]), [1.0 / 3.0, 2.0 / 3.0])
+        assert repr(thresholds) == repr((float(q1), float(q2)))
+
+
+def test_pair_groups_longest_first_under_the_cap(monkeypatch):
+    lengths = [60, 130, 3, 20, 45]
+    # 5 offsets: a group led by a tube of L frames holds up to cap // (5 L) tubes.
+    assert [g.tolist() for g in _pair_groups(lengths, 5)] == [[1, 0, 4, 3, 2]]
+    monkeypatch.setattr(motion, "_MAX_PAIRS", 1000)
+    assert [g.tolist() for g in _pair_groups(lengths, 5)] == [[1], [0, 4, 3], [2]]
+    monkeypatch.setattr(motion, "_MAX_PAIRS", 1)
+    assert [g.tolist() for g in _pair_groups(lengths, 5)] == [[1], [0], [4], [3], [2]]
+    assert _pair_groups([], 5) == []
+
+
+def test_labelling_scores_a_group_in_one_call(monkeypatch):
+    calls = []
+    rows = motion._motion_rows
+    monkeypatch.setattr(motion, "_motion_rows", lambda b, *a: calls.append(len(b)) or rows(b, *a))
+    gts = random_gts([30, 700, 5, 120], 4)
+    monkeypatch.setattr(motion, "_MAX_PAIRS", 5 * 700 * 4)
+    label_tubes(gts, MS)
+    assert calls == [4]
+    calls.clear()
+    monkeypatch.setattr(motion, "_MAX_PAIRS", 5 * 120 * 2)
+    label_tubes(gts, MS)
+    assert calls == [2, 1]  # 120 + 30 frames, then 5; 700 frames go through motion_iou
 
 
 class TestClassifyMotion:
@@ -298,6 +388,12 @@ class TestMotionCdf:
             motion_cdf([], 25, [])
         with pytest.raises(ValueError):
             motion_cdf([], 0, [0.5])
+
+    @pytest.mark.parametrize("offset", [1.5, 2.0, True, "2"])
+    def test_non_integer_offset_error(self, offset):
+        gts = [GroundTruthTube("v", "t", 0, moving_tube(30, 1.0))]
+        with pytest.raises(ValueError, match="pair offset must be an integer"):
+            motion_cdf(gts, offset, [0.5])
 
     def test_csv_output(self, tmp_path):
         path = tmp_path / "cdf.csv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tubekit import cli, synth
+from tubekit import cli, motion, synth
 from tubekit.datamodel import builtin_config, save_detections, save_ground_truth
 from tubekit.linking import build_tubes
 from tubekit.metrics import evaluate_frames, evaluate_videos
@@ -200,8 +200,9 @@ class TestSolveSpeeds:
         monkeypatch.setattr(synth, "_solve_group", spy)
         whole = synth._solve_speeds(*args)
         assert sizes == [5]
-        for cap, groups in [(1000, [1, 1, 3]), (1, [1, 1, 1, 1, 1])]:
-            monkeypatch.setattr(synth, "_MAX_PAIRS", cap)
+        # Longest first: 130 alone, then 60 + 45 + 20, then 3.
+        for cap, groups in [(1000, [1, 3, 1]), (1, [1, 1, 1, 1, 1])]:
+            monkeypatch.setattr(motion, "_MAX_PAIRS", cap)
             sizes.clear()
             assert repr(synth._solve_speeds(*args)) == repr(whole)
             assert sizes == groups
