@@ -13,7 +13,7 @@ import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import accumulate, chain
-from operator import itemgetter, length_hint
+from operator import attrgetter, itemgetter, length_hint
 
 import numpy as np
 
@@ -243,15 +243,21 @@ class FrameDetections:
 
     Held as three read-only columns, row i being one detection: ``boxes``
     (n, 4) float64 in (x1, y1, x2, y2) order, ``class_ids`` (n,) int64 and
-    ``scores`` (n,) float64. ``entries``, the same detections as a tuple of
-    :class:`Detection`, is built from the columns on first read, also for a
-    frame made from a list; every function reads the columns. Compares,
-    prints and refuses hashing as a dataclass of ``(video_id, frame,
-    entries)`` would.
+    ``scores`` (n,) float64. They, ``video_id`` and ``frame`` are read-only
+    properties over private slots. ``entries``, the same detections as a
+    tuple of :class:`Detection`, is built from the columns on first read,
+    also for a frame made from a list; every function reads the columns.
+    Compares, prints and refuses hashing as a dataclass of ``(video_id,
+    frame, entries)`` would.
     """
 
-    __slots__ = ("video_id", "frame", "boxes", "class_ids", "scores", "_entries")
+    __slots__ = ("_video_id", "_frame", "_boxes", "_class_ids", "_scores", "_entries")
     __hash__ = None
+    video_id = property(attrgetter("_video_id"))
+    frame = property(attrgetter("_frame"))
+    boxes = property(attrgetter("_boxes"))
+    class_ids = property(attrgetter("_class_ids"))
+    scores = property(attrgetter("_scores"))
 
     def __init__(self, video_id: str, frame: int, entries: list):
         _check_id("video id", video_id)
@@ -263,11 +269,11 @@ class FrameDetections:
     def _fill(self, video_id, frame, boxes, class_ids, scores) -> None:
         if frame < 0:
             raise ValueError(f"frame must be >= 0, got {frame}")
-        self.video_id = video_id
-        self.frame = frame
-        self.boxes = boxes
-        self.class_ids = class_ids
-        self.scores = scores
+        self._video_id = video_id
+        self._frame = frame
+        self._boxes = boxes
+        self._class_ids = class_ids
+        self._scores = scores
         self._entries = None
 
     @property
@@ -311,9 +317,9 @@ def _columns(frames) -> tuple:
     """The ``(boxes, class_ids, scores)`` columns of a list of frames, concatenated in order."""
     if not frames:
         return np.empty((0, 4)), np.empty(0, np.int64), np.empty(0)
-    return (np.concatenate([fd.boxes for fd in frames]),
-            np.concatenate([fd.class_ids for fd in frames]),
-            np.concatenate([fd.scores for fd in frames]))
+    return (np.concatenate([fd._boxes for fd in frames]),  # slots: no property call a frame
+            np.concatenate([fd._class_ids for fd in frames]),
+            np.concatenate([fd._scores for fd in frames]))
 
 
 def _split_frames(keys, boxes, class_ids, scores, counts) -> list:
@@ -404,6 +410,10 @@ class ActionTube:
             raise ValueError(
                 f"tube score {self.tube_score} disagrees with mean frame score {mean}"
             )
+
+
+def _tube_order(t: ActionTube) -> tuple:  # action tubes' order, in memory and on disk
+    return (t.video_id, t.class_id, t.geometry.start_frame)
 
 
 @dataclass(frozen=True)
@@ -747,7 +757,7 @@ def load_detections(path, config: DatasetConfig | None = None) -> list:
 
 
 def save_detections(frames, path) -> None:
-    frames = sorted(frames, key=lambda fd: (fd.video_id, fd.frame))
+    frames = sorted(frames, key=attrgetter("_video_id", "_frame"))
     boxes, class_ids, scores = _columns(frames)
     rows = [
         f"[{x1:.6f},{y1:.6f},{x2:.6f},{y2:.6f},{c},{s:.6f}]"
@@ -827,14 +837,13 @@ def load_action_tubes(path, config: DatasetConfig | None = None) -> list:
         return ActionTube(video, class_id, TubeGeometry(start, boxes), frame_scores, score)
 
     tubes = _load_records(path, TUBE_SCHEMA, parse)
-    tubes.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
+    tubes.sort(key=_tube_order)
     return tubes
 
 
 def save_action_tubes(tubes, path) -> None:
     lines = []
-    ordered = sorted(tubes, key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
-    for t in ordered:
+    for t in sorted(tubes, key=_tube_order):
         lines.append(dumps({
             "video": t.video_id,
             "class": int(t.class_id),

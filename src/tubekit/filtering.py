@@ -45,7 +45,8 @@ def filter_by_tracks(detections, tracks, match_iou: float = 0.5,
     detections = list(detections)
     boxes, class_ids, scores = _columns(detections)
     counts = [len(fd.scores) for fd in detections]
-    on_frame = [track_rows.get((fd.video_id, fd.frame), ()) for fd in detections]
+    keys = [(fd.video_id, fd.frame) for fd in detections]
+    on_frame = [track_rows.get(key, ()) for key in keys]
     frame_of = np.repeat(np.arange(len(detections)), counts)
     sizes = np.array([len(rows) for rows in on_frame], dtype=np.intp)
     firsts = np.cumsum(sizes) - sizes
@@ -60,5 +61,4 @@ def filter_by_tracks(detections, tracks, match_iou: float = 0.5,
 
     kept_before = np.concatenate([[0], np.cumsum(keep)])    # kept rows before row i
     kept = np.diff(kept_before[np.cumsum([0] + counts)])   # kept rows per frame
-    return _split_frames([(fd.video_id, fd.frame) for fd in detections],
-                         boxes[keep], class_ids[keep], scores[keep], kept.tolist())
+    return _split_frames(keys, boxes[keep], class_ids[keep], scores[keep], kept.tolist())

@@ -14,7 +14,7 @@ from itertools import count
 
 import numpy as np
 
-from .datamodel import ActionTube, _columns
+from .datamodel import ActionTube, _columns, _tube_order
 from .geometry import Box, TubeGeometry, _is_integer, _tuple_iou
 
 __all__ = [
@@ -330,7 +330,7 @@ def build_tubes(detections, link_params: LinkParams | None = None,
                 for s, e in trim_path(path_scores, trim_params):
                     geom = TubeGeometry(start + s, boxes[path_rows[s : e + 1]])
                     out.append(ActionTube(video_id, c, geom, path_scores[s : e + 1]))
-    out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
+    out.sort(key=_tube_order)
     return out
 
 
@@ -365,5 +365,5 @@ def tracks_to_tubes(tracks, track_scores, trim_params: TrimParams | None = None,
         out.append(ActionTube(
             tr.video_id, c, tr.geometry.slice(s, e), scores[s : e + 1, c].tolist()
         ))
-    out.sort(key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame))
+    out.sort(key=_tube_order)
     return out

@@ -4,13 +4,17 @@ A detection counts as a true positive when its overlap with an unmatched
 ground-truth item of the same class exceeds the threshold (strictly) and no
 higher-ranked detection claimed that item first. AP is the running-precision
 sum over true-positive ranks divided by the number of positives.
+
+Each detection reaches the matcher with its candidate list: its same-frame
+(or same-video), same-class ground-truth items in ascending index order, each
+with its IoU (one ``box_iou`` call scores all frame pairs) or st-IoU.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate, chain
-from operator import getitem
 
 import numpy as np
 
@@ -95,33 +99,35 @@ def _mean(values) -> float | None:
 # shared evaluation engine
 
 
-def _match_class(dets, det_ids, gts, gt_ids, overlap, thresh):
-    """Greedy matching for one class's det and GT indices.
+def _match_class(dets, det_ids, thresh):
+    """Greedy matching for one class's ascending det indices, over each det's candidate GTs.
 
-    Units are (class, group, payload, score) and (class, group, payload,
-    tube_key) tuples. Returns [(score, det index, matched GT index or None)]
-    ranked by descending score, then ascending det index.
+    Returns [(score, det index, matched GT index or None)] ranked by descending
+    score; the stable sort keeps ascending det index on ties. The strict ``>``
+    lets no NaN overlap match and gives a tie to the first candidate, the
+    lowest GT index.
     """
-    by_group = {}
-    for j in gt_ids:
-        by_group.setdefault(gts[j][1], []).append(j)
     taken = set()
     out = []
-    for i in sorted(det_ids, key=lambda i: (-dets[i][3], i)):
-        _, group, payload, score = dets[i]
+    for i in sorted(det_ids, key=lambda i: -dets[i][1]):
+        _, score, gt_ids, overlaps = dets[i]
         best = None
         best_overlap = thresh
-        for j in by_group.get(group, ()):
-            if j in taken:
-                continue
-            o = overlap(payload, gts[j][2])
-            if o > best_overlap:
+        for j, o in zip(gt_ids, overlaps):
+            if o > best_overlap and j not in taken:
                 best_overlap = o
                 best = j
         if best is not None:
             taken.add(best)
         out.append((score, i, best))
     return out
+
+
+def _det_units(classes, scores, cands, overlaps) -> list:
+    """(class, score, gt_ids, overlaps) det units, cut from a flat list of every pair's overlap."""
+    ends = accumulate(map(len, cands))
+    return [(c, s, js, overlaps[hi - len(js) : hi])
+            for c, s, js, hi in zip(classes, scores, cands, ends)]
 
 
 def _pr_curve(hits, npos) -> PRCurve:
@@ -146,7 +152,7 @@ def _category_hits(matches, gt_categories, cat) -> list:
 
 def _motion_breakdown(class_matches, gts, motion_labels):
     gt_categories = []
-    for _, _, _, tube_key in gts:
+    for _, tube_key in gts:
         label = motion_labels.get(tube_key)
         if label is None:
             raise ValueError(f"no motion label for tube {tube_key}")
@@ -158,16 +164,10 @@ def _motion_breakdown(class_matches, gts, motion_labels):
 
     per_motion = {}
     for cat in MotionCategory:
-        npos_by_class = {}
-        for g, gt_cat in zip(gts, gt_categories):
-            if gt_cat == cat:
-                npos_by_class[g[0]] = npos_by_class.get(g[0], 0) + 1
-        total_npos = sum(npos_by_class.values())
-        per_class_ap = {}
-        for c, matches in class_matches.items():
-            npos = npos_by_class.get(c, 0)
-            if npos:
-                per_class_ap[c] = _ranked_ap(_category_hits(matches, gt_categories, cat), npos)
+        npos = Counter(g[0] for g, gt_cat in zip(gts, gt_categories) if gt_cat == cat)
+        total_npos = sum(npos.values())
+        per_class_ap = {c: _ranked_ap(_category_hits(matches, gt_categories, cat), npos[c])
+                        for c, matches in class_matches.items() if npos[c]}
         pooled_ap = None
         if total_npos:
             pooled_ap = _ranked_ap(_category_hits(pooled, gt_categories, cat), total_npos)
@@ -181,21 +181,18 @@ def _motion_breakdown(class_matches, gts, motion_labels):
     return per_motion
 
 
-def _evaluate(dets, gts, thresh, overlap, level, motion_labels=None) -> EvalReport:
+def _evaluate(dets, gts, thresh, level, motion_labels=None) -> EvalReport:
+    """Reports for (class, score, gt_ids, overlaps) det and (class, tube_key) GT units."""
     if not 0.0 <= thresh <= 1.0:
         raise ValueError(f"threshold {thresh} outside [0, 1]")
     all_classes = sorted({d[0] for d in dets} | {g[0] for g in gts})
     class_dets = {c: [] for c in all_classes}
-    class_gts = {c: [] for c in all_classes}
     for i, d in enumerate(dets):
         class_dets[d[0]].append(i)
-    for j, g in enumerate(gts):
-        class_gts[g[0]].append(j)
-    npos = {c: len(class_gts[c]) for c in all_classes}
-    class_matches = {
-        c: _match_class(dets, class_dets[c], gts, class_gts[c], overlap, thresh)
-        for c in all_classes
-    }
+    npos = dict.fromkeys(all_classes, 0)
+    for c, _ in gts:
+        npos[c] += 1
+    class_matches = {c: _match_class(dets, class_dets[c], thresh) for c in all_classes}
 
     per_class_ap = {}
     pr_curves = {}
@@ -228,36 +225,25 @@ def evaluate_frames(detections, gts, iou_thresh, motion_labels=None, jobs=1) -> 
     category and per-category metrics are added. ``jobs`` is accepted and
     ignored: all work runs in one thread.
     """
-    # A GT unit's payload is its place among its frame's same-class GTs, the
-    # order in which _match_class visits them; a detection's payload is its
-    # IoU with each of those GTs, in that order, so the overlap is one lookup.
     gt_units, same, gt_boxes = [], {}, [np.empty((0, 4))]
     for gt in gts:
         geo = gt.geometry
         gt_boxes.append(geo.boxes)
         for frame in range(geo.start_frame, geo.start_frame + len(geo)):
-            members = same.setdefault(((gt.video_id, frame), gt.class_id), [])
-            gt_units.append((gt.class_id, (gt.video_id, frame), len(members), gt.key))
-            members.append(len(gt_units) - 1)
+            same.setdefault((gt.video_id, frame, gt.class_id), []).append(len(gt_units))
+            gt_units.append((gt.class_id, gt.key))
 
     detections = list(detections)
     boxes, class_ids, scores = _columns(detections)
-    keys = [(fd.video_id, fd.frame) for fd in detections]
-    groups = [keys[i] for i in
-              np.repeat(np.arange(len(keys)), [len(fd.scores) for fd in detections]).tolist()]
-    classes = class_ids.tolist()
-    cands = [same.get(key, ()) for key in zip(groups, classes)]
-    # Every (detection, same-frame same-class GT) pair, scored by one box_iou call.
-    counts = [len(js) for js in cands]
-    pair_det = np.repeat(np.arange(len(cands)), counts)
+    cands = [same.get((fd.video_id, fd.frame, c), ())
+             for fd in detections for c in fd.class_ids.tolist()]
+    # Every (detection, candidate GT) pair, scored by one box_iou call; GT unit
+    # j's box is row j of the concatenated GT boxes.
+    pair_det = np.repeat(np.arange(len(cands)), [len(js) for js in cands])
     pair_gt = np.fromiter(chain.from_iterable(cands), np.intp)
     ious = box_iou(boxes[pair_det], np.concatenate(gt_boxes)[pair_gt]).tolist()
-    ends = list(accumulate(counts))
-    det_units = [
-        (c, group, ious[hi - n : hi], score)
-        for c, group, n, hi, score in zip(classes, groups, counts, ends, scores.tolist())
-    ]
-    return _evaluate(det_units, gt_units, iou_thresh, getitem, "frame", motion_labels)
+    det_units = _det_units(class_ids.tolist(), scores.tolist(), cands, ious)
+    return _evaluate(det_units, gt_units, iou_thresh, "frame", motion_labels)
 
 
 def evaluate_videos(tubes, gts, st_iou_thresh, motion_labels=None, jobs=1) -> EvalReport:
@@ -265,9 +251,16 @@ def evaluate_videos(tubes, gts, st_iou_thresh, motion_labels=None, jobs=1) -> Ev
 
     ``jobs`` is accepted and ignored: all work runs in one thread.
     """
-    det_units = [(t.class_id, (t.video_id,), t.geometry, t.tube_score) for t in tubes]
-    gt_units = [(g.class_id, (g.video_id,), g.geometry, g.key) for g in gts]
-    return _evaluate(det_units, gt_units, st_iou_thresh, st_iou, "video", motion_labels)
+    gts, tubes = list(gts), list(tubes)
+    same = {}
+    for j, g in enumerate(gts):
+        same.setdefault((g.video_id, g.class_id), []).append(j)
+    cands = [same.get((t.video_id, t.class_id), ()) for t in tubes]
+    st_ious = [st_iou(t.geometry, gts[j].geometry) for t, js in zip(tubes, cands) for j in js]
+    det_units = _det_units([t.class_id for t in tubes], [t.tube_score for t in tubes],
+                           cands, st_ious)
+    gt_units = [(g.class_id, g.key) for g in gts]
+    return _evaluate(det_units, gt_units, st_iou_thresh, "video", motion_labels)
 
 
 def threshold_sweep(eval_fn, thresholds) -> tuple:
@@ -326,38 +319,30 @@ def _fmt_ap(v) -> str:
     return "-" if v is None else f"{v:.6f}"
 
 
+def _aligned(rows) -> list:
+    """Rows of strings as lines: the first column left-aligned, the rest right-aligned."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.rjust(w) if i else cell.ljust(w)
+                      for i, (cell, w) in enumerate(zip(row, widths))) for row in rows]
+
+
 def render_table(report: EvalReport, config=None) -> str:
     rows = [("class", "positives", "ap")]
     for c in sorted(report.num_positives):
-        rows.append((
-            _class_name(c, config),
-            str(report.num_positives[c]),
-            _fmt_ap(report.per_class_ap.get(c)),
-        ))
-    widths = [max(len(r[i]) for r in rows) for i in range(3)]
-    lines = [f"{report.level}-level evaluation @ {report.threshold:.6f}"]
-    for r in rows:
-        lines.append(f"{r[0]:<{widths[0]}}  {r[1]:>{widths[1]}}  {r[2]:>{widths[2]}}")
+        rows.append((_class_name(c, config), str(report.num_positives[c]),
+                     _fmt_ap(report.per_class_ap.get(c))))
+    lines = [f"{report.level}-level evaluation @ {report.threshold:.6f}", *_aligned(rows)]
     if report.mean_ap is None:
         lines.append("mAP -")
     else:
         lines.append(f"mAP {report.mean_ap:.6f} ({report.mean_ap * 100.0:.1f}%)")
     if report.per_motion is not None:
-        lines.append("")
         mrows = [("motion", "positives", "motion-ap", "motion-map")]
         for cat in MotionCategory:
             m = report.per_motion[cat]
-            mrows.append((
-                cat.label,
-                str(m.num_positives),
-                _fmt_ap(m.pooled_ap),
-                _fmt_ap(m.mean_ap),
-            ))
-        mw = [max(len(r[i]) for r in mrows) for i in range(4)]
-        for r in mrows:
-            lines.append(
-                f"{r[0]:<{mw[0]}}  {r[1]:>{mw[1]}}  {r[2]:>{mw[2]}}  {r[3]:>{mw[3]}}"
-            )
+            mrows.append((cat.label, str(m.num_positives),
+                          _fmt_ap(m.pooled_ap), _fmt_ap(m.mean_ap)))
+        lines += ["", *_aligned(mrows)]
     return "\n".join(lines) + "\n"
 
 

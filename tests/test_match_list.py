@@ -181,6 +181,48 @@ class TestNamedCases:
         tubes = [tube("v", 0, 0, [A], 0.5), tube("v", 1, 0, [B], 0.25)]
         check_both_ways("video", tubes, gts, 0.5, [SMALL, SMALL])
 
+    def test_tied_overlaps_go_to_the_lower_gt_index(self):
+        # The detection overlaps A and its mirror C by 1/3 each: the GT listed
+        # first takes it, whichever box that is.
+        C = (4.0, 0.0, 8.0, 4.0)
+        D = (2.0, 0.0, 6.0, 4.0)
+        for first, second in ((A, C), (C, A)):
+            gts = [gt("v", "a", 0, 0, [first]), gt("v", "b", 0, 0, [second])]
+            report = check_both_ways("frame", [frame("v", 0, (D, 0, 0.5))], gts, 0.2,
+                                     [SMALL, LARGE])
+            assert report.per_motion[SMALL].pooled_ap == 1.0
+            assert report.per_motion[LARGE].pooled_ap == 0.0
+            report = check_both_ways("video", [tube("v", 0, 0, [D], 0.5)], gts, 0.2,
+                                     [SMALL, LARGE])
+            assert report.per_motion[SMALL].pooled_ap == 1.0
+            assert report.per_motion[LARGE].pooled_ap == 0.0
+
+    def test_taken_gt_is_skipped_for_the_next_best(self):
+        # The second detection overlaps A by 0.6 and C by 1/7; A is taken by
+        # the first, so the second takes C.
+        C = (4.0, 0.0, 8.0, 4.0)
+        D = (1.0, 0.0, 5.0, 4.0)
+        gts = [gt("v", "a", 0, 0, [A]), gt("v", "c", 0, 0, [C])]
+        dets = [frame("v", 0, (D, 0, 0.5), (A, 0, 0.75))]
+        report = check_both_ways("frame", dets, gts, 0.1, [SMALL, LARGE])
+        assert report.pr_curves[0].precisions == [1.0, 1.0]
+        assert report.per_motion[LARGE].pooled_ap == 1.0
+        tubes = [tube("v", 0, 0, [D], 0.5), tube("v", 0, 0, [A], 0.75)]
+        report = check_both_ways("video", tubes, gts, 0.1, [SMALL, LARGE])
+        assert report.pr_curves[0].precisions == [1.0, 1.0]
+        assert report.per_motion[LARGE].pooled_ap == 1.0
+
+    def test_overlap_at_the_threshold_does_not_match(self):
+        half = (0.0, 0.0, 4.0, 2.0)  # overlaps A by exactly 0.5
+        gts = [gt("v", "a", 0, 0, [A])]
+        for thresh, ap in ((0.5, 0.0), (0.25, 1.0)):
+            report = check_both_ways("frame", [frame("v", 0, (half, 0, 0.5))], gts, thresh,
+                                     [SMALL])
+            assert report.per_class_ap[0] == ap
+            report = check_both_ways("video", [tube("v", 0, 0, [half], 0.5)], gts, thresh,
+                                     [SMALL])
+            assert report.per_class_ap[0] == ap
+
 
 class TestAveragePrecision:
     @given(st.lists(st.tuples(SCORES, st.booleans()), max_size=12), st.integers(0, 6))

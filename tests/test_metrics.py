@@ -1,12 +1,21 @@
 import numpy as np
 import pytest
 
-from tubekit.datamodel import ActionTube, Detection, FrameDetections, GroundTruthTube
+from tubekit.datamodel import (
+    ActionTube,
+    Detection,
+    FrameDetections,
+    GroundTruthTube,
+    builtin_config,
+)
 from tubekit.geometry import Box, TubeGeometry
 from tubekit.metrics import (
+    EvalReport,
+    MotionMetrics,
     average_precision,
     evaluate_frames,
     evaluate_videos,
+    render_table,
     threshold_sweep,
 )
 from tubekit.motion import MotionCategory, MotionLabel
@@ -408,3 +417,44 @@ class TestMotionEval:
                     assert m.pooled_ap == pytest.approx(pooled_ref, abs=1e-12)
                 if mean_ref is not None:
                     assert m.mean_ap == pytest.approx(mean_ref, abs=1e-12)
+
+
+class TestRenderTable:
+    def test_golden_text_with_motion_breakdown(self):
+        large, medium, small = MotionCategory.LARGE, MotionCategory.MEDIUM, MotionCategory.SMALL
+        report = EvalReport(
+            level="frame",
+            threshold=0.5,
+            per_class_ap={0: 0.75, 12: 1 / 3, 75: 0.5},
+            num_positives={12: 1500, 0: 4, 3: 0, 75: 2},
+            mean_ap=(0.75 + 1 / 3 + 0.5) / 3,
+            pr_curves={},
+            per_motion={
+                large: MotionMetrics(large, 0, None, None, {}),
+                medium: MotionMetrics(medium, 5, 0.6, 0.55, {0: 0.55}),
+                small: MotionMetrics(small, 1501, 1 / 3, 0.25, {12: 0.25}),
+            },
+        )
+        # class 3 has no positives (AP "-"); class 75 is past the config's names
+        assert render_table(report, builtin_config("multisports")) == (
+            "frame-level evaluation @ 0.500000\n"
+            "class      positives        ap\n"
+            "action_00          4  0.750000\n"
+            "action_03          0         -\n"
+            "action_12       1500  0.333333\n"
+            "class_75           2  0.500000\n"
+            "mAP 0.527778 (52.8%)\n"
+            "\n"
+            "motion  positives  motion-ap  motion-map\n"
+            "large           0          -           -\n"
+            "medium          5   0.600000    0.550000\n"
+            "small        1501   0.333333    0.250000\n"
+        )
+
+    def test_golden_text_of_an_empty_report(self):
+        report = EvalReport("video", 0.3, {}, {}, None, {})
+        assert render_table(report) == (
+            "video-level evaluation @ 0.300000\n"
+            "class  positives  ap\n"
+            "mAP -\n"
+        )

@@ -1,11 +1,11 @@
 """Tube records are values: checked once by their constructor, then unchangeable.
 
-``TubeGeometry``, ``GroundTruthTube``, ``Track``, ``ActionTube`` and
-``TrackScores`` refuse field assignment; ``dataclasses.replace``, ``pickle``
-and ``copy.deepcopy`` go back through the public constructor, so a copy is
-checked and its arrays are read-only. Every file saved from records the
-constructors accept loads again, and saving what was loaded gives the same
-bytes.
+``TubeGeometry``, ``GroundTruthTube``, ``Track``, ``ActionTube``,
+``TrackScores`` and ``FrameDetections`` refuse field assignment;
+``dataclasses.replace``, ``pickle`` and ``copy.deepcopy`` go back through the
+public constructor, so a copy is checked and its arrays are read-only. Every
+file saved from records the constructors accept loads again, and saving what
+was loaded gives the same bytes.
 """
 
 import copy
@@ -125,6 +125,22 @@ def test_frame_copies_are_equal_and_read_only(duplicate):
         with pytest.raises(ValueError):
             column[0] = 0
 
+
+FRAME_FIELDS = ("video_id", "frame", "boxes", "class_ids", "scores")
+
+
+def test_no_frame_field_can_be_assigned_or_deleted(tmp_path):
+    fd = FrameDetections("v", 4, [Detection(Box(0, 0, 5, 5), 2, 0.5)])
+    save_detections([fd], tmp_path / "dets.ndjson")
+    for frame in (fd, *load_detections(tmp_path / "dets.ndjson")):
+        for name in FRAME_FIELDS:
+            before = getattr(frame, name)
+            with pytest.raises(AttributeError):
+                setattr(frame, name, -5)
+            with pytest.raises(AttributeError):
+                delattr(frame, name)
+            assert getattr(frame, name) is before
+        assert frame == fd
 
 def test_track_scores_of_mixed_class_counts_are_not_saved(tmp_path):
     path = tmp_path / "scores.ndjson"
