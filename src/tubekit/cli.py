@@ -91,10 +91,8 @@ def _cmd_eval_videos(args) -> int:
     tubes = datamodel.load_action_tubes(args.tubes, config)
     if args.sweep:
         thresholds = _parse_steps(args.sweep)
-        reports, mean = metrics.threshold_sweep(
-            lambda t: metrics.evaluate_videos(tubes, gts, t),
-            thresholds,
-        )
+        # The st-IoUs do not depend on the threshold: compute them once.
+        reports, mean = metrics.threshold_sweep(metrics._video_evaluator(tubes, gts), thresholds)
         rows = []
         for t, rep in zip(thresholds, reports):
             m = "-" if rep.mean_ap is None else f"{rep.mean_ap:.6f}"

@@ -5,16 +5,20 @@ ground-truth item of the same class exceeds the threshold (strictly) and no
 higher-ranked detection claimed that item first. AP is the running-precision
 sum over true-positive ranks divided by the number of positives.
 
-Each detection reaches the matcher with its candidate list: its same-frame
-(or same-video), same-class ground-truth items in ascending index order, each
-with its IoU (one ``box_iou`` call scores all frame pairs) or st-IoU.
+One engine serves both levels. It takes detection class and score columns and
+the candidate pairs (detection, same-frame or same-video same-class
+ground-truth item, overlap): the IoUs of one ``box_iou`` call, or st-IoUs. One
+stable ``lexsort`` ranks every detection by class, then descending score. Only
+pairs above the threshold enter the greedy claim loop; every other detection
+is a false positive. Hit flags, PR curves, per-class AP and the motion
+breakdown are then read from cumulative sums over the rank-ordered arrays.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -66,14 +70,11 @@ class EvalReport:
     per_motion: dict | None = None
 
 
-def _ranked_ap(hits, npos: int) -> float:
-    """AP of hit flags already in rank order: the sum of tp / rank at each hit, over npos."""
-    tp = 0
+def _ranked_ap(hit_ranks, npos: int) -> float:
+    """AP from the hits' ascending 1-based ranks: the sum of tp / rank at each hit, over npos."""
     total = 0.0
-    for rank, hit in enumerate(hits, start=1):
-        if hit:
-            tp += 1
-            total += tp / rank
+    for tp, rank in enumerate(hit_ranks, start=1):
+        total += tp / rank
     return total / npos
 
 
@@ -88,7 +89,8 @@ def average_precision(matches, num_positives: int) -> float | None:
     if num_positives == 0:
         return None
     ranked = sorted(matches, key=lambda pair: -pair[0])
-    return _ranked_ap([pair[1] for pair in ranked], num_positives)
+    return _ranked_ap([rank for rank, (_, hit) in enumerate(ranked, start=1) if hit],
+                      num_positives)
 
 
 def _mean(values) -> float | None:
@@ -99,118 +101,135 @@ def _mean(values) -> float | None:
 # shared evaluation engine
 
 
-def _match_class(dets, det_ids, thresh):
-    """Greedy matching for one class's ascending det indices, over each det's candidate GTs.
+def _class_index(det_classes, gt_classes) -> tuple:
+    """The sorted class ids of both lists, and each entry's index into them."""
+    classes = sorted(set(det_classes).union(gt_classes))
+    index = {c: i for i, c in enumerate(classes)}
+    return (classes, np.array([index[c] for c in det_classes], np.intp),
+            np.array([index[c] for c in gt_classes], np.intp))
 
-    Returns [(score, det index, matched GT index or None)] ranked by descending
-    score; the stable sort keeps ascending det index on ties. The strict ``>``
-    lets no NaN overlap match and gives a tie to the first candidate, the
-    lowest GT index.
+
+def _claims(neg_scores, pair_det, pair_gt, overlaps, thresh):
+    """The GT unit each detection claims, or -1.
+
+    Only pairs with an overlap strictly above the threshold can claim, so a
+    NaN never does. Their detections claim in rank order (descending score,
+    ties by index; detections of different classes share no GT, so one
+    ranking serves all classes), each the untaken candidate of highest
+    overlap, the lowest GT index on a tie.
     """
-    taken = set()
-    out = []
-    for i in sorted(det_ids, key=lambda i: -dets[i][1]):
-        _, score, gt_ids, overlaps = dets[i]
-        best = None
-        best_overlap = thresh
-        for j, o in zip(gt_ids, overlaps):
-            if o > best_overlap and j not in taken:
-                best_overlap = o
-                best = j
-        if best is not None:
-            taken.add(best)
-        out.append((score, i, best))
-    return out
+    contested = (overlaps > thresh).nonzero()[0]
+    dets = pair_det[contested]
+    by_rank = neg_scores[dets].argsort(kind="stable")
+    contested = contested[by_rank]
+    claimed = {}  # GT unit -> detection
+    det = best = -1
+    for d, j, o in zip(dets[by_rank].tolist(), pair_gt[contested].tolist(),
+                       overlaps[contested].tolist()):
+        if d != det:
+            if best >= 0:
+                claimed[best] = det
+            det, best = d, -1
+        if j not in claimed and (best < 0 or o > best_overlap):
+            best, best_overlap = j, o
+    if best >= 0:
+        claimed[best] = det
+    match = np.full(len(neg_scores), -1)
+    match[list(claimed.values())] = list(claimed)
+    return match
 
 
-def _det_units(classes, scores, cands, overlaps) -> list:
-    """(class, score, gt_ids, overlaps) det units, cut from a flat list of every pair's overlap."""
-    ends = accumulate(map(len, cands))
-    return [(c, s, js, overlaps[hi - len(js) : hi])
-            for c, s, js, hi in zip(classes, scores, cands, ends)]
-
-
-def _pr_curve(hits, npos) -> PRCurve:
-    recalls, precisions = [], []
-    tp = 0
-    for rank, hit in enumerate(hits, start=1):
-        if hit:
-            tp += 1
-        recalls.append(tp / npos if npos else 0.0)
-        precisions.append(tp / rank)
-    return PRCurve(recalls, precisions, npos)
-
-
-def _category_hits(matches, gt_categories, cat) -> list:
-    """Hit flags for one motion category.
-
-    A detection matched to a ground truth of another category is dropped; an
-    unmatched one stays a false positive.
-    """
-    return [gt is not None for _, _, gt in matches if gt is None or gt_categories[gt] == cat]
-
-
-def _motion_breakdown(class_matches, gts, motion_labels):
-    gt_categories = []
-    for _, tube_key in gts:
-        label = motion_labels.get(tube_key)
+def _unit_categories(gts, unit_tube, motion_labels):
+    """Each GT unit's motion category, its tube's, as an int."""
+    categories = []
+    for g in gts:
+        label = motion_labels.get(g.key)
         if label is None:
-            raise ValueError(f"no motion label for tube {tube_key}")
-        gt_categories.append(label.category)
-    pooled = sorted(
-        (m for matches in class_matches.values() for m in matches),
-        key=lambda m: (-m[0], m[1]),
-    )
-
-    per_motion = {}
-    for cat in MotionCategory:
-        npos = Counter(g[0] for g, gt_cat in zip(gts, gt_categories) if gt_cat == cat)
-        total_npos = sum(npos.values())
-        per_class_ap = {c: _ranked_ap(_category_hits(matches, gt_categories, cat), npos[c])
-                        for c, matches in class_matches.items() if npos[c]}
-        pooled_ap = None
-        if total_npos:
-            pooled_ap = _ranked_ap(_category_hits(pooled, gt_categories, cat), total_npos)
-        per_motion[cat] = MotionMetrics(
-            category=cat,
-            num_positives=total_npos,
-            pooled_ap=pooled_ap,
-            mean_ap=_mean(per_class_ap.values()),
-            per_class_ap=per_class_ap,
-        )
-    return per_motion
+            raise ValueError(f"no motion label for tube {g.key}")
+        categories.append(label.category)
+    return np.array(categories, np.intp)[unit_tube]
 
 
-def _evaluate(dets, gts, thresh, level, motion_labels=None) -> EvalReport:
-    """Reports for (class, score, gt_ids, overlaps) det and (class, tube_key) GT units."""
+def _evaluate(level, classes, det_ci, scores, pairs, unit_ci, unit_tube, gts, thresh,
+              motion_labels=None) -> EvalReport:
+    """Reports for detections matched against GT units.
+
+    ``classes`` are the sorted class ids, and ``det_ci`` and ``unit_ci`` index
+    them. ``pairs`` are (detection, unit, overlap) arrays, grouped by ascending
+    detection, with ascending units within one. Unit u is a box or the whole
+    of tube ``gts[unit_tube[u]]``.
+    """
     if not 0.0 <= thresh <= 1.0:
         raise ValueError(f"threshold {thresh} outside [0, 1]")
-    all_classes = sorted({d[0] for d in dets} | {g[0] for g in gts})
-    class_dets = {c: [] for c in all_classes}
-    for i, d in enumerate(dets):
-        class_dets[d[0]].append(i)
-    npos = dict.fromkeys(all_classes, 0)
-    for c, _ in gts:
-        npos[c] += 1
-    class_matches = {c: _match_class(dets, class_dets[c], thresh) for c in all_classes}
+    k, n = len(classes), len(scores)
+    neg_scores = -scores
+    match = _claims(neg_scores, *pairs, thresh)
+    # Every detection ranked by class, then descending score, ties by index:
+    # class i holds ranks bounds[i]:bounds[i + 1], and starts is the first
+    # rank of each rank's class.
+    order = np.lexsort((neg_scores, det_ci))
+    ranked_ci = det_ci[order]
+    bounds = ranked_ci.searchsorted(np.arange(k + 1))
+    starts = bounds[ranked_ci]
+    hit = match[order] >= 0
+    tp = hit.cumsum()
+    tp += hit[starts] - tp[starts]  # counted from the class's first rank
+    rank = np.arange(1, n + 1) - starts
+    npos = np.bincount(unit_ci, minlength=k)
+    # A class without positives has no hits, so its recalls are 0 / 1.
+    recalls = (tp / np.maximum(npos[ranked_ci], 1)).tolist()
+    precisions = (tp / rank).tolist()
+    hit_at = hit.nonzero()[0]
+    hit_ranks = rank[hit_at].tolist()
+    cuts = hit_at.searchsorted(bounds).tolist()
+    edges, npos = bounds.tolist(), npos.tolist()
 
-    per_class_ap = {}
-    pr_curves = {}
-    for c in all_classes:
-        hits = [gt is not None for _, _, gt in class_matches[c]]
-        pr_curves[c] = _pr_curve(hits, npos[c])
-        if npos[c]:
-            per_class_ap[c] = _ranked_ap(hits, npos[c])
-
+    per_class_ap = {c: _ranked_ap(hit_ranks[cuts[i]:cuts[i + 1]], m)
+                    for i, (c, m) in enumerate(zip(classes, npos)) if m}
+    pr_curves = {c: PRCurve(recalls[lo:hi], precisions[lo:hi], m)
+                 for c, lo, hi, m in zip(classes, edges, edges[1:], npos)}
     per_motion = None
     if motion_labels is not None:
-        per_motion = _motion_breakdown(class_matches, gts, motion_labels)
+        per_motion = {}
+        ncat = len(MotionCategory)
+        unit_cat = _unit_categories(gts, unit_tube, motion_labels)
+        cat_npos = np.bincount(unit_cat * k + unit_ci,
+                               minlength=ncat * k).reshape(ncat, k).tolist()
+        # One (category, column) pass: the n class-ranked columns, then the n
+        # pooled ones, all classes ranked by descending score. A detection
+        # matched to a GT of another category is dropped from that category's
+        # ranking; an unmatched one stays a false positive in all of them.
+        pooled = neg_scores.argsort(kind="stable")
+        cat = np.append(unit_cat, -1)[match][np.concatenate((order, pooled))]
+        in_cat = cat == np.arange(ncat)[:, None]
+        kept = in_cat | (cat < 0)
+        count = kept.cumsum(axis=1)
+        row, col = in_cat.nonzero()
+        # A class-ranked column is in segment ci, a pooled one in segment k;
+        # segment i starts at column bounds[i], and bounds[k] == n.
+        seg = np.concatenate((ranked_ci, np.full(n, k)))[col]
+        first = bounds[seg]
+        ranks = (count[row, col] - count[row, first] + kept[row, first]).tolist()
+        cuts = (row * (k + 1) + seg).searchsorted(np.arange(ncat * (k + 1) + 1)).tolist()
+        for r in MotionCategory:
+            at = r * (k + 1)
+            cat_ap = {c: _ranked_ap(ranks[cuts[at + i]:cuts[at + i + 1]], m)
+                      for i, (c, m) in enumerate(zip(classes, cat_npos[r])) if m}
+            total = sum(cat_npos[r])
+            pooled_ap = _ranked_ap(ranks[cuts[at + k]:cuts[at + k + 1]], total) if total else None
+            per_motion[r] = MotionMetrics(
+                category=r,
+                num_positives=total,
+                pooled_ap=pooled_ap,
+                mean_ap=_mean(cat_ap.values()),
+                per_class_ap=cat_ap,
+            )
 
     return EvalReport(
         level=level,
         threshold=thresh,
         per_class_ap=per_class_ap,
-        num_positives=npos,
+        num_positives=dict(zip(classes, npos)),
         mean_ap=_mean(per_class_ap.values()),
         pr_curves=pr_curves,
         per_motion=per_motion,
@@ -225,25 +244,61 @@ def evaluate_frames(detections, gts, iou_thresh, motion_labels=None, jobs=1) -> 
     category and per-category metrics are added. ``jobs`` is accepted and
     ignored: all work runs in one thread.
     """
-    gt_units, same, gt_boxes = [], {}, [np.empty((0, 4))]
-    for gt in gts:
-        geo = gt.geometry
-        gt_boxes.append(geo.boxes)
-        for frame in range(geo.start_frame, geo.start_frame + len(geo)):
-            same.setdefault((gt.video_id, frame, gt.class_id), []).append(len(gt_units))
-            gt_units.append((gt.class_id, gt.key))
+    detections, gts = list(detections), list(gts)
+    # GT unit u is one box: the units are every tube's boxes, tube by tube.
+    lengths = [len(g.geometry) for g in gts]
+    same, u = {}, 0
+    for g, length in zip(gts, lengths):
+        video, start = g.video_id, g.geometry.start_frame
+        for frame in range(start, start + length):
+            same.setdefault((video, frame), []).append(u)
+            u += 1
+    frame_units = [same.get((fd.video_id, fd.frame), ()) for fd in detections]
 
-    detections = list(detections)
     boxes, class_ids, scores = _columns(detections)
-    cands = [same.get((fd.video_id, fd.frame, c), ())
-             for fd in detections for c in fd.class_ids.tolist()]
-    # Every (detection, candidate GT) pair, scored by one box_iou call; GT unit
-    # j's box is row j of the concatenated GT boxes.
-    pair_det = np.repeat(np.arange(len(cands)), [len(js) for js in cands])
-    pair_gt = np.fromiter(chain.from_iterable(cands), np.intp)
-    ious = box_iou(boxes[pair_det], np.concatenate(gt_boxes)[pair_gt]).tolist()
-    det_units = _det_units(class_ids.tolist(), scores.tolist(), cands, ious)
-    return _evaluate(det_units, gt_units, iou_thresh, "frame", motion_labels)
+    values, inverse = np.unique(class_ids, return_inverse=True)
+    classes, value_ci, tube_ci = _class_index(values.tolist(), [g.class_id for g in gts])
+    det_ci = value_ci[inverse]
+    unit_tube = np.repeat(np.arange(len(gts)), lengths)
+    unit_ci = tube_ci[unit_tube]
+
+    # Candidate pairs: each detection against the same-class GT boxes of its
+    # frame, found by sorting every frame's boxes on (frame, class).
+    k, frame_ids = len(classes), np.arange(len(detections))
+    n_units = np.array([len(us) for us in frame_units], np.intp)
+    units = np.fromiter(chain.from_iterable(frame_units), np.intp, int(n_units.sum()))
+    unit_key = np.repeat(frame_ids, n_units) * k + unit_ci[units]
+    by_key = np.argsort(unit_key, kind="stable")
+    unit_key, units = unit_key[by_key], units[by_key]
+    det_key = np.repeat(frame_ids, [len(fd.scores) for fd in detections]) * k + det_ci
+    lo = np.searchsorted(unit_key, det_key)
+    n_pairs = np.searchsorted(unit_key, det_key, side="right") - lo
+    pair_det = np.repeat(np.arange(len(det_key)), n_pairs)
+    shift = lo - np.cumsum(n_pairs) + n_pairs  # from a pair's index to its unit's in units
+    pair_gt = units[np.arange(len(pair_det)) + np.repeat(shift, n_pairs)]
+    gt_boxes = np.concatenate([np.empty((0, 4))] + [g.geometry.boxes for g in gts])
+    ious = box_iou(boxes[pair_det], gt_boxes[pair_gt])
+    return _evaluate("frame", classes, det_ci, scores, (pair_det, pair_gt, ious), unit_ci,
+                     unit_tube, gts, iou_thresh, motion_labels)
+
+
+def _video_evaluator(tubes, gts):
+    """``evaluate_videos`` for these tubes at any threshold: a function of
+    ``(st_iou_thresh, motion_labels=None)``. Every st-IoU is computed here, once."""
+    tubes, gts = list(tubes), list(gts)
+    same = {}
+    for j, g in enumerate(gts):
+        same.setdefault((g.video_id, g.class_id), []).append(j)
+    cands = [same.get((t.video_id, t.class_id), ()) for t in tubes]
+    pair_det = np.repeat(np.arange(len(tubes)), [len(js) for js in cands])
+    pair_gt = np.fromiter(chain.from_iterable(cands), np.intp, len(pair_det))
+    st_ious = np.array([st_iou(t.geometry, gts[j].geometry)
+                        for t, js in zip(tubes, cands) for j in js], np.float64)
+    classes, det_ci, unit_ci = _class_index([t.class_id for t in tubes],
+                                            [g.class_id for g in gts])
+    scores = np.array([t.tube_score for t in tubes], np.float64)
+    return partial(_evaluate, "video", classes, det_ci, scores, (pair_det, pair_gt, st_ious),
+                   unit_ci, np.arange(len(gts)), gts)
 
 
 def evaluate_videos(tubes, gts, st_iou_thresh, motion_labels=None, jobs=1) -> EvalReport:
@@ -251,16 +306,7 @@ def evaluate_videos(tubes, gts, st_iou_thresh, motion_labels=None, jobs=1) -> Ev
 
     ``jobs`` is accepted and ignored: all work runs in one thread.
     """
-    gts, tubes = list(gts), list(tubes)
-    same = {}
-    for j, g in enumerate(gts):
-        same.setdefault((g.video_id, g.class_id), []).append(j)
-    cands = [same.get((t.video_id, t.class_id), ()) for t in tubes]
-    st_ious = [st_iou(t.geometry, gts[j].geometry) for t, js in zip(tubes, cands) for j in js]
-    det_units = _det_units([t.class_id for t in tubes], [t.tube_score for t in tubes],
-                           cands, st_ious)
-    gt_units = [(g.class_id, g.key) for g in gts]
-    return _evaluate(det_units, gt_units, st_iou_thresh, "video", motion_labels)
+    return _video_evaluator(tubes, gts)(st_iou_thresh, motion_labels)
 
 
 def threshold_sweep(eval_fn, thresholds) -> tuple:

@@ -7,10 +7,12 @@ import weakref
 import numpy as np
 import pytest
 
-from tubekit import cli
+from tubekit import cli, metrics
 from tubekit.aggregators import aspp_forward, random_weights, tcn_forward, temporal_max_pool
-from tubekit.datamodel import Detection, FrameDetections, load_tracks
-from tubekit.geometry import Box
+from tubekit.datamodel import (ActionTube, Detection, FrameDetections, load_action_tubes,
+                               load_ground_truth, load_tracks, save_action_tubes)
+from tubekit.geometry import Box, TubeGeometry
+from tubekit.jsonfmt import format_float
 from tubekit.roialign import FeatureGrid, align_tracks, spatial_avg_pool
 from tubekit.tensorfile import read_tensors, write_tensors
 
@@ -109,6 +111,43 @@ class TestEvalCommands:
         assert payload["mean_map"] == pytest.approx(
             sum(r["map"] for r in payload["per_threshold"]) / 9, abs=1e-9
         )
+
+    def test_sweep_equals_one_evaluation_per_threshold(self, fixture_dir, tmp_path,
+                                                       monkeypatch, capsys):
+        # The sweep computes each st-IoU once and matches every threshold
+        # against them; each result must equal a whole evaluation at that
+        # threshold, every float included. Tube i is ground-truth tube i moved
+        # right by i / 8 of its boxes' width, so mAP moves with the threshold.
+        out = fixture_dir / "synth"
+        tubes_path = tmp_path / "tubes.ndjson"
+        tubes = []
+        for i, g in enumerate(load_ground_truth(out / "gt.ndjson")):
+            boxes = g.geometry.boxes.copy()
+            boxes[:, [0, 2]] += (boxes[:, 2:3] - boxes[:, :1]) * i / 8
+            tubes.append(ActionTube(g.video_id, g.class_id,
+                                    TubeGeometry(g.geometry.start_frame, boxes.tolist()),
+                                    [1 - i / 16] * len(boxes)))
+        save_action_tubes(tubes, tubes_path)
+        sweep, swept = metrics.threshold_sweep, []
+
+        def recorded(eval_fn, thresholds):
+            swept.append(sweep(eval_fn, thresholds))
+            return swept[-1]
+
+        monkeypatch.setattr(metrics, "threshold_sweep", recorded)
+        argv = ["eval-videos", "--gt", out / "gt.ndjson", "--tubes", tubes_path,
+                "--sweep", "0.05:0.95:0.05"]
+        assert cli.main(list(map(str, argv))) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        gts, tubes = load_ground_truth(out / "gt.ndjson"), load_action_tubes(tubes_path)
+        thresholds = cli._parse_steps("0.05:0.95:0.05")
+        [(reports, mean)] = swept
+        maps = [metrics.evaluate_videos(tubes, gts, t).mean_ap for t in thresholds]
+        assert [r.mean_ap for r in reports] == maps
+        assert len(set(maps)) > 3
+        assert mean == sweep(lambda t: metrics.evaluate_videos(tubes, gts, t), thresholds)[1]
+        assert [r["map"] for r in payload["per_threshold"]] == \
+            [float(format_float(m)) for m in maps]
 
     def test_eval_videos_single_threshold(self, fixture_dir, tmp_path):
         out = fixture_dir / "synth"

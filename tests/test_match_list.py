@@ -1,8 +1,9 @@
 """The evaluation engine against the dataclass engine it replaced, compared with ``==``.
 
-Matching runs once per class and returns one ranked match list; AP, the PR
-curves and the per-motion breakdown all read it. ``oracles.reference_evaluate``
-is the earlier engine, which re-ranked every list through
+The engine ranks every detection once, runs the greedy claim loop over the
+pairs above the threshold only, and reads AP, the PR curves and the per-motion
+breakdown from rank-ordered arrays. ``oracles.reference_evaluate`` is an
+earlier per-detection engine, which re-ranked every list through
 ``average_precision``. Every report field, every float included, must be equal
 to the reference's, not merely close.
 """
@@ -223,6 +224,48 @@ class TestNamedCases:
                                      [SMALL])
             assert report.per_class_ap[0] == ap
 
+
+    def test_no_detections(self):
+        # Ground truth in two classes and nothing detected, with no frame or an
+        # empty one: each class has AP 0 and an empty curve.
+        gts = [gt("v", "a", 0, 0, [A]), gt("v", "b", 1, 0, [B])]
+        for dets in ([], [frame("v", 0)]):
+            report = check_both_ways("frame", dets, gts, 0.5, [SMALL, LARGE])
+            assert report.per_class_ap == {0: 0.0, 1: 0.0}
+            assert report.pr_curves[1].recalls == []
+            assert report.per_motion[LARGE].pooled_ap == 0.0
+        report = check_both_ways("video", [], gts, 0.5, [SMALL, LARGE])
+        assert report.per_class_ap == {0: 0.0, 1: 0.0}
+
+    def test_no_ground_truth(self):
+        dets = [frame("v", 0, (A, 0, 0.5), (B, 1, 0.25))]
+        report = check_both_ways("frame", dets, [], 0.5, [])
+        assert (report.per_class_ap, report.mean_ap) == ({}, None)
+        assert report.pr_curves[1].recalls == [0.0]
+        assert report.per_motion[SMALL].pooled_ap is None
+        tubes = [tube("v", 0, 0, [A], 0.5), tube("v", 1, 0, [B], 0.25)]
+        report = check_both_ways("video", tubes, [], 0.5, [])
+        assert (report.per_class_ap, report.mean_ap) == ({}, None)
+
+    def test_nan_overlap_never_matches(self):
+        # Corners near the float limit make the IoU and the st-IoU NaN, which
+        # fails even the threshold 0.0: the detection stays a false positive.
+        huge = (-1e308, -1e308, 1e308, 1e308)
+        gts = [gt("v", "a", 0, 0, [huge])]
+        report = check_both_ways("frame", [frame("v", 0, (huge, 0, 0.5))], gts, 0.0, [LARGE])
+        assert report.per_class_ap == {0: 0.0}
+        report = check_both_ways("video", [tube("v", 0, 0, [huge], 0.5)], gts, 0.0, [LARGE])
+        assert report.per_class_ap == {0: 0.0}
+
+    def test_ground_truth_class_beyond_int64(self):
+        # Ground-truth and tube classes are unbounded Python ints; no detection
+        # column can hold 2**64, and such a class still gets its own row.
+        gts = [gt("v", "a", 2**64, 0, [A]), gt("v", "b", 0, 0, [A])]
+        report = check_both_ways("frame", [frame("v", 0, (A, 0, 0.5))], gts, 0.5, [SMALL, LARGE])
+        assert report.per_class_ap == {0: 1.0, 2**64: 0.0}
+        tubes = [tube("v", 2**64, 0, [A], 0.25), tube("v", 0, 0, [A], 0.5)]
+        report = check_both_ways("video", tubes, gts, 0.5, [SMALL, LARGE])
+        assert report.per_class_ap == {0: 1.0, 2**64: 1.0}
 
 class TestAveragePrecision:
     @given(st.lists(st.tuples(SCORES, st.booleans()), max_size=12), st.integers(0, 6))
