@@ -18,7 +18,7 @@ from operator import attrgetter, itemgetter, length_hint
 import numpy as np
 
 from .geometry import Box, TubeGeometry, _is_integer, _start_frame
-from .jsonfmt import dumps, without_negative_zero
+from .jsonfmt import _number_rows, dumps
 
 __all__ = [
     "GT_SCHEMA",
@@ -684,10 +684,30 @@ def _check_class(class_id, config):
 
 
 def _write_lines(path, schema: str, lines) -> None:
+    """Write the header and ``lines``, an iterable of records' text, in one write."""
+    text = "\n".join(chain((dumps({"schema": schema}),), lines, ("",)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps({"schema": schema}) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(text)
+
+
+def _row_texts(*fields) -> list:
+    """Per record, the text of its rows of numbers, or None where ``dumps`` must write it.
+
+    ``fields`` holds, for each column of a row, every record's array of that
+    column (see ``jsonfmt._number_rows``). A record's text is its rows as
+    they stand in a JSON array, without the enclosing brackets; it is None
+    when a row of the record holds a number that the kernel flagged.
+    """
+    if not fields[0]:
+        return []
+    text, ends, flagged = _number_rows(*(np.concatenate(f) for f in fields))
+    bounds = np.fromiter(accumulate(map(len, fields[0]), initial=0), np.int64)
+    offsets = ends[bounds]
+    bad = np.concatenate(([0], np.cumsum(flagged)))[bounds]
+    # Each row's text starts with a comma, which the first row of a record drops;
+    # a record without rows gets text[e + 1:e], which is empty.
+    return [None if b else text[lo:hi] for lo, hi, b in
+            zip((offsets[:-1] + 1).tolist(), offsets[1:].tolist(), (bad[1:] > bad[:-1]).tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -717,16 +737,17 @@ def load_ground_truth(path, config: DatasetConfig | None = None) -> list:
 
 
 def save_ground_truth(tubes, path) -> None:
-    lines = []
-    for t in sorted(tubes, key=lambda t: t.key):
-        lines.append(dumps({
+    tubes = sorted(tubes, key=attrgetter("key"))
+    boxes = _row_texts([t.geometry.boxes for t in tubes])
+    _write_lines(path, GT_SCHEMA, (
+        f'{{"video":{dumps(t.video_id)},"tube":{dumps(t.tube_id)},"class":{int(t.class_id)},'
+        f'"start":{t.geometry.start_frame},"boxes":[{b}]}}' if b is not None else dumps({
             "video": t.video_id,
             "tube": t.tube_id,
             "class": int(t.class_id),
             "start": int(t.geometry.start_frame),
             "boxes": t.geometry.boxes,
-        }))
-    _write_lines(path, GT_SCHEMA, lines)
+        }) for t, b in zip(tubes, boxes)))
 
 
 # ---------------------------------------------------------------------------
@@ -758,20 +779,17 @@ def load_detections(path, config: DatasetConfig | None = None) -> list:
 
 def save_detections(frames, path) -> None:
     frames = sorted(frames, key=attrgetter("_video_id", "_frame"))
-    boxes, class_ids, scores = _columns(frames)
-    rows = [
-        f"[{x1:.6f},{y1:.6f},{x2:.6f},{y2:.6f},{c},{s:.6f}]"
-        for (x1, y1, x2, y2), c, s in zip(boxes.tolist(), class_ids.tolist(), scores.tolist())
-    ]
+    dets = _row_texts([fd._boxes for fd in frames], [fd._class_ids for fd in frames],
+                      [fd._scores for fd in frames])
     videos = {v: dumps(v) for v in {fd.video_id for fd in frames}}
-    lines = []
-    lo = 0
-    for fd in frames:
-        hi = lo + len(fd.scores)
-        dets = without_negative_zero(",".join(rows[lo:hi]))
-        lines.append(f'{{"video":{videos[fd.video_id]},"frame":{int(fd.frame)},"dets":[{dets}]}}')
-        lo = hi
-    _write_lines(path, DET_SCHEMA, lines)
+    _write_lines(path, DET_SCHEMA, (
+        f'{{"video":{videos[fd.video_id]},"frame":{int(fd.frame)},"dets":[{d}]}}'
+        if d is not None else dumps({
+            "video": fd.video_id,
+            "frame": int(fd.frame),
+            "dets": [[*box, c, s] for box, c, s in zip(
+                fd.boxes.tolist(), fd.class_ids.tolist(), fd.scores.tolist())],
+        }) for fd, d in zip(frames, dets)))
 
 
 # ---------------------------------------------------------------------------
@@ -802,8 +820,19 @@ def load_tracks(path) -> list:
 
 
 def save_tracks(tracks, path) -> None:
+    tracks = sorted(tracks, key=attrgetter("key"))
+    boxes = _row_texts([t.geometry.boxes for t in tracks])
+    scored = iter(_row_texts([np.asarray(t.box_scores, dtype=np.float64)
+                              for t in tracks if t.box_scores is not None]))
     lines = []
-    for t in sorted(tracks, key=lambda t: t.key):
+    for t, b in zip(tracks, boxes):
+        scores = "" if t.box_scores is None else next(scored)
+        if b is not None and scores is not None:
+            if t.box_scores is not None:
+                scores = f',"scores":[{scores}]'
+            lines.append(f'{{"video":{dumps(t.video_id)},"track":{dumps(t.track_id)},'
+                         f'"start":{t.geometry.start_frame},"boxes":[{b}]{scores}}}')
+            continue
         rec = {
             "video": t.video_id,
             "track": t.track_id,
@@ -842,17 +871,21 @@ def load_action_tubes(path, config: DatasetConfig | None = None) -> list:
 
 
 def save_action_tubes(tubes, path) -> None:
-    lines = []
-    for t in sorted(tubes, key=_tube_order):
-        lines.append(dumps({
+    tubes = sorted(tubes, key=_tube_order)
+    boxes = _row_texts([t.geometry.boxes for t in tubes])
+    frame_scores = _row_texts([np.asarray(t.frame_scores, dtype=np.float64) for t in tubes])
+    scores = _row_texts([np.array([t.tube_score], dtype=np.float64) for t in tubes])
+    _write_lines(path, TUBE_SCHEMA, (
+        f'{{"video":{dumps(t.video_id)},"class":{int(t.class_id)},"start":{t.geometry.start_frame},'
+        f'"boxes":[{b}],"frame_scores":[{f}],"score":{s}}}'
+        if b is not None and f is not None and s is not None else dumps({
             "video": t.video_id,
             "class": int(t.class_id),
             "start": int(t.geometry.start_frame),
             "boxes": t.geometry.boxes,
             "frame_scores": [float(s) for s in t.frame_scores],
             "score": float(t.tube_score),
-        }))
-    _write_lines(path, TUBE_SCHEMA, lines)
+        }) for t, b, f, s in zip(tubes, boxes, frame_scores, scores)))
 
 
 # ---------------------------------------------------------------------------
@@ -883,17 +916,18 @@ def load_track_scores(path) -> list:
 
 
 def save_track_scores(items, path) -> None:
-    items = sorted(items, key=lambda t: t.key)
-    lines = []
+    items = sorted(items, key=attrgetter("key"))
     for ts in items:
         width, classes = items[0].scores.shape[1], ts.scores.shape[1]
         if classes != width:  # load_track_scores would refuse the file
             raise ValueError(f"track '{ts.track_id}' in video '{ts.video_id}' has "
                              f"{classes} classes, expected {width}")
-        lines.append(dumps({
+    rows = _row_texts([ts.scores for ts in items])
+    _write_lines(path, TRACK_SCORES_SCHEMA, (
+        f'{{"video":{dumps(ts.video_id)},"track":{dumps(ts.track_id)},'
+        f'"start":{int(ts.start_frame)},"scores":[{r}]}}' if r is not None else dumps({
             "video": ts.video_id,
             "track": ts.track_id,
             "start": int(ts.start_frame),
             "scores": ts.scores,
-        }))
-    _write_lines(path, TRACK_SCORES_SCHEMA, lines)
+        }) for ts, r in zip(items, rows)))

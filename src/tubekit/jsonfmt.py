@@ -1,7 +1,9 @@
 """Canonical JSON emission: fixed 6-decimal floats, insertion-ordered keys.
 
-Every file this package writes goes through :func:`dumps` so that identical
-in-memory data always produces identical bytes.
+Every file this package writes holds the text :func:`dumps` gives, so that
+identical in-memory data always produces identical bytes. The NDJSON writers
+get their numbers' text from :func:`_number_rows`, one array pass per field,
+and fall back to :func:`dumps` for a line that it cannot write exactly.
 """
 
 from __future__ import annotations
@@ -10,23 +12,13 @@ from json.encoder import encode_basestring
 
 import numpy as np
 
-__all__ = ["dumps", "format_float", "without_negative_zero"]
+__all__ = ["dumps", "format_float"]
 
 
 def format_float(v: float) -> str:
     """Render a float with exactly six fractional digits, without negative zero."""
     s = f"{float(v):.6f}"
     return "0.000000" if s == "-0.000000" else s
-
-
-def without_negative_zero(text: str) -> str:
-    """``text`` with every -0.000000 written 0.000000, as :func:`format_float` writes it.
-
-    ``text`` holds only numbers, each printed with six fractional digits or
-    as an integer, and the brackets and commas between them. There
-    -0.000000 is only ever a whole number: six digits, then ',', ']' or the end.
-    """
-    return text.replace("-0.000000", "0.000000")
 
 
 def _flat_numbers(seq):
@@ -44,7 +36,8 @@ def _flat_numbers(seq):
             parts.append(f"{v}")
         else:
             return None
-    return f"[{without_negative_zero(','.join(parts))}]"
+    # Only numbers are joined, so -0.000000 is only ever a whole number there.
+    return f"[{','.join(parts).replace('-0.000000', '0.000000')}]"
 
 
 def _emit(obj, out: list) -> None:
@@ -91,3 +84,113 @@ def dumps(obj) -> str:
     out: list = []
     _emit(obj, out)
     return "".join(out)
+
+
+# ---------------------------------------------------------------------------
+# the writers' number kernel
+
+_BLOCK_ROWS = 2**12  # rows per array pass, which bounds the pass's temporaries
+_LIMIT = 2**32  # digits come from uint32 integer parts, so values stay below it
+# For |v| < 2**32, f = |v| - floor(|v|) is exact, and p = f * 1e6 is one
+# rounded product of f and the exact 1e6 < 2**20, so |p - f * 10**6| <=
+# 10**6 * 2**-53 < 2**-33. rint(p), which rounds ties to even, then rounds
+# f * 10**6 as '%.6f' does (correctly, ties to even), unless f * 10**6 lies
+# within 2**-33 of a half-integer. Every p within _TIE of one is flagged,
+# exact ties included, and its line goes to dumps.
+_TIE = 2.0**-30
+# The codes a row is written in: a digit is its own value, then the point,
+# the sign, the comma and the brackets; _PAD marks a code that writes nothing.
+_POINT, _MINUS, _COMMA, _OPEN, _CLOSE, _PAD = range(10, 16)
+_ASCII = bytes.maketrans(bytes(range(15)), b"0123456789.-,[]")
+
+
+def _field_codes(values):
+    """``(codes, sizes, flagged)`` for a column (n,) or block (n, k) of numbers.
+
+    Each number gets a field of ``codes`` (see _ASCII) along a new last axis:
+    a comma, then its text padded on the left, fixed-point with six decimals
+    for floats and plain for integers. ``sizes`` counts the characters a
+    field writes. ``flagged`` marks floats that are not finite, whose
+    magnitude is 2**32 - 1 or more or whose sixth decimal lies near a
+    rounding tie, and integers outside [0, 2**32); their fields hold other
+    numbers.
+    """
+    if values.dtype.kind == "f":
+        mag = np.abs(values)
+        flagged = ~(mag < _LIMIT - 1)  # NaN too; so a carry leaves whole < 2**32
+        mag[flagged] = 0.0
+        whole = np.floor(mag)
+        p = np.subtract(mag, whole, out=mag)
+        p *= 1e6
+        frac = np.rint(p)
+        np.subtract(p, frac, out=p)
+        flagged |= np.abs(p, out=p) > 0.5 - _TIE
+        carry = frac == 1e6
+        whole += carry
+        frac[carry] = 0.0
+        neg = np.signbit(values) & (whole + frac > 0)  # no sign on a value that rounds to 0
+        parts = (frac.astype(np.uint32), whole.astype(np.uint32))
+        tail = 7  # the point and six decimals
+    else:
+        flagged = (values < 0) | (values >= _LIMIT)
+        parts = (np.where(flagged, 0, values).astype(np.uint32),)
+        neg = np.zeros(values.shape, bool)
+        tail = 0
+    digits = len(str(parts[-1].max(initial=0)))  # of the longest integer part
+    codes = np.full(values.shape + (2 + digits + tail,), _PAD, np.uint8)
+    codes[..., 0] = _COMMA
+    np.copyto(codes[..., 1], _MINUS, where=neg)
+    sizes = neg + (2 + tail)  # the comma, the sign, the units digit and the tail
+    pos = codes.shape[-1]
+    q, r = np.empty_like(parts[0]), np.empty_like(parts[0])  # scratch
+    for x in parts:  # the decimals, if any, then the integer part
+        integer = x is parts[-1]
+        for i in range(digits if integer else 6):  # x is what is left to write
+            pos -= 1
+            np.floor_divide(x, 10, out=q)
+            np.multiply(q, 10, out=r)
+            np.subtract(x, r, out=r)
+            if not integer or i == 0:
+                codes[..., pos] = r
+            else:  # a leading zero stays padding
+                np.copyto(codes[..., pos], r, casting="unsafe", where=x > 0)
+                sizes += x > 0
+            x, q = q, x
+        if not integer:
+            pos -= 1
+            codes[..., pos] = _POINT
+    return codes, sizes, flagged
+
+
+def _number_rows(*columns):
+    """The text of rows of numbers, computed in whole-array passes.
+
+    Row i holds row i of each of ``columns``, in order: an (n, k) float64
+    block, or an (n,) float64 or int64 column. Returns ``(text, ends,
+    flagged)``: ``text`` is every row, each written ``,[a,b,...]`` (or
+    ``,a`` when the only column is one-dimensional), ``ends`` the (n + 1,)
+    offsets in ``text`` where each row ends, after a 0, and ``flagged`` an
+    (n,) mask of the rows whose text may differ from :func:`dumps` (see
+    _field_codes). Unflagged rows read as :func:`dumps` writes their
+    numbers, floats through :func:`format_float` and integers through ``str``.
+    """
+    n = len(columns[0])
+    flat = len(columns) == 1 and columns[0].ndim == 1
+    texts, ends, flagged = [], [np.zeros(1, np.int64)], np.zeros(n, bool)
+    for lo in range(0, n, _BLOCK_ROWS):
+        fields = [_field_codes(column[lo:lo + _BLOCK_ROWS]) for column in columns]
+        rows = len(fields[0][0])
+        codes = [codes.reshape(rows, -1) for codes, _, _ in fields]
+        sizes = sum(sizes.reshape(rows, -1).sum(axis=1) for _, sizes, _ in fields)
+        if not flat:  # a comma, then the bracketed numbers
+            codes = [np.full((rows, 1), _COMMA, np.uint8), *codes,
+                     np.full((rows, 1), _CLOSE, np.uint8)]
+            sizes += 2
+        codes = np.concatenate(codes, axis=1)
+        if not flat:
+            codes[:, 1] = _OPEN  # the first number's comma
+        texts.append(codes.tobytes().translate(_ASCII, bytes((_PAD,))).decode("ascii"))
+        ends.append(np.cumsum(sizes) + ends[-1][-1])
+        for _, _, bad in fields:
+            flagged[lo:lo + rows] |= bad.reshape(rows, -1).any(axis=1)
+    return "".join(texts), np.concatenate(ends), flagged

@@ -3,7 +3,8 @@
 Everything here is written naively on purpose: explicit loops, its own IoU
 and padding arithmetic, no code shared with the package under test. The
 exceptions are frozen copies of earlier package code: ``reference_evaluate``,
-``reference_tracks_to_tubes``, the Detection-list detection I/O and filter,
+``reference_tracks_to_tubes``, the element-by-element NDJSON writers
+``reference_save_*``, the Detection-list detection loader and filter,
 the typed/per-field field readers ``reference_get_*``, the Box-based
 ``reference_greedy_link`` and ``reference_build_tubes``, and the scalar
 ``reference_solve_speed``. They borrow the package's overlap functions,
@@ -891,14 +892,111 @@ def reference_dumps(obj):
 
 
 # ---------------------------------------------------------------------------
+# the NDJSON writers, kept as the reference for the array-formatted ones
+#
+# These are the five ``save_*`` writers as tubekit shipped them while every
+# number went through ``dumps`` one element at a time (``save_detections``
+# as it was while frames held Detection lists), here on ``reference_dumps``
+# and a line writer of their own. They share only the schema tags and the
+# record types with the package, because they check bytes exactly.
+
+
+def _reference_write_lines(path, schema, lines):
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(reference_dumps({"schema": schema}) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+
+
+def reference_save_ground_truth(tubes, path) -> None:
+    from tubekit.datamodel import GT_SCHEMA
+
+    lines = []
+    for t in sorted(tubes, key=lambda t: t.key):
+        lines.append(reference_dumps({
+            "video": t.video_id,
+            "tube": t.tube_id,
+            "class": int(t.class_id),
+            "start": int(t.geometry.start_frame),
+            "boxes": t.geometry.boxes,
+        }))
+    _reference_write_lines(path, GT_SCHEMA, lines)
+
+
+def reference_save_detections(frames, path) -> None:
+    from tubekit.datamodel import DET_SCHEMA
+
+    lines = []
+    for fd in sorted(frames, key=lambda fd: (fd.video_id, fd.frame)):
+        dets = [
+            [d.box.x1, d.box.y1, d.box.x2, d.box.y2, int(d.class_id), d.score]
+            for d in fd.entries
+        ]
+        lines.append(reference_dumps({"video": fd.video_id, "frame": int(fd.frame), "dets": dets}))
+    _reference_write_lines(path, DET_SCHEMA, lines)
+
+
+def reference_save_tracks(tracks, path) -> None:
+    from tubekit.datamodel import TRACK_SCHEMA
+
+    lines = []
+    for t in sorted(tracks, key=lambda t: t.key):
+        rec = {
+            "video": t.video_id,
+            "track": t.track_id,
+            "start": int(t.geometry.start_frame),
+            "boxes": t.geometry.boxes,
+        }
+        if t.box_scores is not None:
+            rec["scores"] = [float(s) for s in t.box_scores]
+        lines.append(reference_dumps(rec))
+    _reference_write_lines(path, TRACK_SCHEMA, lines)
+
+
+def reference_save_action_tubes(tubes, path) -> None:
+    from tubekit.datamodel import TUBE_SCHEMA
+
+    lines = []
+    for t in sorted(tubes, key=lambda t: (t.video_id, t.class_id, t.geometry.start_frame)):
+        lines.append(reference_dumps({
+            "video": t.video_id,
+            "class": int(t.class_id),
+            "start": int(t.geometry.start_frame),
+            "boxes": t.geometry.boxes,
+            "frame_scores": [float(s) for s in t.frame_scores],
+            "score": float(t.tube_score),
+        }))
+    _reference_write_lines(path, TUBE_SCHEMA, lines)
+
+
+def reference_save_track_scores(items, path) -> None:
+    from tubekit.datamodel import TRACK_SCORES_SCHEMA
+
+    items = sorted(items, key=lambda t: t.key)
+    lines = []
+    for ts in items:
+        width, classes = items[0].scores.shape[1], ts.scores.shape[1]
+        if classes != width:
+            raise ValueError(f"track '{ts.track_id}' in video '{ts.video_id}' has "
+                             f"{classes} classes, expected {width}")
+        lines.append(reference_dumps({
+            "video": ts.video_id,
+            "track": ts.track_id,
+            "start": int(ts.start_frame),
+            "scores": ts.scores,
+        }))
+    _reference_write_lines(path, TRACK_SCORES_SCHEMA, lines)
+
+
+# ---------------------------------------------------------------------------
 # frame detections as Detection lists, kept as the reference for the columns
 #
-# This is ``load_detections``, ``filter_by_tracks`` and ``save_detections``
-# as tubekit shipped them while every frame held a list of Detection objects:
-# a Detection + Box pair per row on load, a Python pass over them to filter,
-# and ``dumps`` of one dict per frame to save. They share the record checks,
-# ``box_iou``, ``dumps`` and the result types with the package, because they
-# check values, order and bytes exactly.
+# This is ``load_detections`` and ``filter_by_tracks`` as tubekit shipped
+# them while every frame held a list of Detection objects: a Detection + Box
+# pair per row on load, and a Python pass over them to filter. (The writer of
+# that time is ``reference_save_detections`` above.) They share the record
+# checks, ``box_iou`` and the result types with the package, because they
+# check values and order exactly.
 
 
 def _reference_typed_dets(v, num_classes):
@@ -984,20 +1082,6 @@ def reference_load_detections(path, config=None) -> list:
     frames = _load_records(path, DET_SCHEMA, parse)
     frames.sort(key=lambda fd: (fd.video_id, fd.frame))
     return frames
-
-
-def reference_save_detections(frames, path) -> None:
-    from tubekit.datamodel import DET_SCHEMA, _write_lines
-    from tubekit.jsonfmt import dumps
-
-    lines = []
-    for fd in sorted(frames, key=lambda fd: (fd.video_id, fd.frame)):
-        dets = [
-            [d.box.x1, d.box.y1, d.box.x2, d.box.y2, int(d.class_id), d.score]
-            for d in fd.entries
-        ]
-        lines.append(dumps({"video": fd.video_id, "frame": int(fd.frame), "dets": dets}))
-    _write_lines(path, DET_SCHEMA, lines)
 
 
 def reference_filter_by_tracks(detections, tracks, match_iou: float = 0.5,

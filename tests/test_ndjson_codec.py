@@ -7,7 +7,9 @@ typed pass that only accepts, then, on any rejection, the per-field checks
 from the top of the field. A load must give the same objects as with those
 readers patched in, field types included, or the same ``path:line:
 message``, which keeps the order of errors; ``dumps`` must give the same
-bytes as the element-by-element reference in ``oracles``.
+bytes as the element-by-element reference in ``oracles``. The writers' array
+kernel must write each number as ``format_float`` or ``str`` does, or flag
+it, and each writer the bytes of its reference ``oracles.reference_save_*``.
 """
 
 import contextlib
@@ -22,7 +24,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tubekit import datamodel
+from tubekit import datamodel, jsonfmt
 from tubekit.datamodel import (
     ActionTube,
     Detection,
@@ -34,7 +36,7 @@ from tubekit.datamodel import (
     builtin_config,
 )
 from tubekit.geometry import Box, TubeGeometry
-from tubekit.jsonfmt import dumps
+from tubekit.jsonfmt import dumps, format_float
 
 import oracles
 from oracles import reference_dumps
@@ -403,3 +405,222 @@ def _dumps_or_error(fn, value):
 @example({"boxes": np.arange(8, dtype=np.float64).reshape(2, 4) - 4, "s": "é"})
 def test_dumps_equals_reference(value):
     assert _dumps_or_error(dumps, value) == _dumps_or_error(reference_dumps, value)
+
+
+# ---------------------------------------------------------------------------
+# the writers' number kernel against format_float and str
+
+
+def _kernel_texts(*columns):
+    """Each row's text from jsonfmt._number_rows, or None for a flagged row."""
+    text, ends, flagged = jsonfmt._number_rows(*columns)
+    return [None if bad else text[lo + 1:hi]
+            for lo, hi, bad in zip(ends[:-1].tolist(), ends[1:].tolist(), flagged.tolist())]
+
+
+def _near_half(n, step):
+    """The float ``step`` ulps from (n + 0.5) / 10**6: its sixth decimal is a near-tie."""
+    v = (n + 0.5) / 1e6
+    for _ in range(abs(step)):
+        v = math.nextafter(v, math.copysign(math.inf, step))
+    return v
+
+
+# Written wrong without the tie flag: each lies just above or below a
+# half-integer at the sixth decimal, and p = f * 1e6 rounds onto it.
+NEAR_TIES = [2.5e-06, -2.5e-06, 3.5e-06, 1.25e-05, 1.35e-05]
+
+_near_ties = (
+    st.integers(-2**38, 2**38).map(lambda k: (2 * k + 1) / 128)  # exact ties
+    | st.builds(_near_half, st.integers(-2**52, 2**52), st.integers(-1, 1))
+    | st.sampled_from(NEAR_TIES)
+)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _near_ties, max_size=40))
+@example(NEAR_TIES)
+@example([0.0078125, -0.0, -1e-9, -5e-7, 5e-7, 0.9999995, 0.9999997, -0.9999997,
+          2.0**32 - 1.5, 2.0**32 - 1, 2.0**32, 1e300, -1e300, 1e-300])
+def test_kernel_writes_format_float_or_flags(values):
+    column = np.array(values, dtype=np.float64)
+    texts = _kernel_texts(column)
+    for v, text in zip(values, texts):
+        assert text is None or text == format_float(v), v
+    assert all(t is None for v, t in zip(values, texts) if not abs(v) < 2**32 - 1)
+    if len(values) % 2 == 0:  # rows of a block, bracketed
+        pairs = _kernel_texts(column.reshape(-1, 2))
+        assert pairs == [None if a is None or b is None else f"[{a},{b}]"
+                         for a, b in zip(texts[::2], texts[1::2])]
+
+
+@given(st.lists(st.integers(-2**63, 2**63 - 1)
+                | st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1, -1]), max_size=40))
+def test_kernel_writes_integers_or_flags(values):
+    texts = _kernel_texts(np.array(values, dtype=np.int64))
+    assert texts == [str(v) if 0 <= v < 2**32 else None for v in values]
+
+
+def test_kernel_flags_non_finite_values():
+    assert _kernel_texts(np.array([math.nan, math.inf, -math.inf, 1.5])) == \
+        [None, None, None, "1.500000"]
+
+
+def test_kernel_flags_every_exact_tie():
+    ties = (2 * np.arange(-5000, 5000) + 1) / 128  # f * 10**6 is k + 0.5 exactly
+    assert _kernel_texts(ties) == [None] * len(ties)
+
+
+def test_tie_bound_is_needed():
+    """With no tie flag, the near-ties above are written wrong: the bound does work."""
+    with mock.patch.object(jsonfmt, "_TIE", 0.0):
+        texts = _kernel_texts(np.array(NEAR_TIES))
+    assert all(t is not None and t != format_float(v) for v, t in zip(NEAR_TIES, texts))
+
+
+def test_kernel_rows_span_blocks():
+    rng = np.random.default_rng(5)
+    boxes = rng.uniform(-2000, 2000, (11, 4))
+    classes = rng.integers(0, 30, 11)
+    scores = rng.uniform(0, 1, 11)
+    whole = jsonfmt._number_rows(boxes, classes, scores)
+    with mock.patch.object(jsonfmt, "_BLOCK_ROWS", 3):
+        split = jsonfmt._number_rows(boxes, classes, scores)
+    assert whole[0] == split[0] and np.array_equal(whole[1], split[1])
+    assert _kernel_texts(boxes, classes, scores) == [
+        "[" + ",".join([*map(format_float, b), str(c), format_float(s)]) + "]"
+        for b, c, s in zip(boxes.tolist(), classes.tolist(), scores.tolist())]
+
+
+def test_kernel_on_no_rows():
+    text, ends, flagged = jsonfmt._number_rows(np.empty((0, 4)))
+    assert text == "" and ends.tolist() == [0] and flagged.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# each writer against its element-by-element reference
+
+EDGE_COORDS = [0.0078125, -0.0, -1e-9, -5e-7, 2.5e-06, 0.9999997, 2.0**32 - 1, 2.0**32,
+               1e300, -1e300]
+EDGE_SCORES = [0.0, 1.0, 0.0078125, 5e-7, 2.5e-06, 0.9999995, 0.9999997]
+_coord = st.floats(-1e4, 1e4) | st.sampled_from(EDGE_COORDS)
+_score = st.floats(0.0, 1.0) | st.sampled_from(EDGE_SCORES)
+_class = st.integers(0, 30) | st.sampled_from([2**32 - 1, 2**32, 2**63 - 1])
+_video = st.sampled_from(["v0", "v1", 'é"\\'])
+_ident = st.text("ab1", min_size=1, max_size=3)
+
+
+@st.composite
+def _box(draw):
+    x1, x2 = sorted([draw(_coord), draw(_coord)])
+    y1, y2 = sorted([draw(_coord), draw(_coord)])
+    return Box(x1, y1, x2, y2)
+
+
+def _geometry(n):
+    return st.builds(TubeGeometry, st.integers(0, 50), st.lists(_box(), min_size=n, max_size=n))
+
+
+@st.composite
+def _frames(draw):
+    keys = draw(st.lists(st.tuples(_video, st.integers(0, 9)), unique=True, max_size=6))
+    dets = st.builds(Detection, _box(), _class, _score)
+    return [FrameDetections(v, f, draw(st.lists(dets, max_size=4))) for v, f in keys]
+
+
+@st.composite
+def _gt(draw):
+    keys = draw(st.lists(st.tuples(_video, _ident), unique=True, max_size=5))
+    return [GroundTruthTube(v, t, draw(_class), draw(_geometry(draw(st.integers(1, 4)))))
+            for v, t in keys]
+
+
+@st.composite
+def _tracks(draw):
+    keys = draw(st.lists(st.tuples(_video, _ident), unique=True, max_size=5))
+    out = []
+    for v, t in keys:
+        n = draw(st.integers(1, 4))
+        scores = draw(st.none() | st.lists(_score, min_size=n, max_size=n))
+        out.append(Track(v, t, draw(_geometry(n)), scores))
+    return out
+
+
+@st.composite
+def _tubes(draw):
+    out = []
+    for _ in range(draw(st.integers(0, 5))):
+        n = draw(st.integers(1, 4))
+        scores = draw(st.lists(_score, min_size=n, max_size=n))
+        out.append(ActionTube(draw(_video), draw(_class), draw(_geometry(n)), scores))
+    return out
+
+
+@st.composite
+def _score_matrices(draw):
+    keys = draw(st.lists(st.tuples(_video, _ident), unique=True, max_size=5))
+    width = draw(st.integers(1, 3))
+    return [TrackScores(v, t, draw(st.integers(0, 9)), np.array(draw(st.lists(
+        st.lists(_score, min_size=width, max_size=width), min_size=1, max_size=4))))
+        for v, t in keys]
+
+
+WRITERS = {
+    "gt": (_gt(), datamodel.save_ground_truth, oracles.reference_save_ground_truth),
+    "det": (_frames(), datamodel.save_detections, oracles.reference_save_detections),
+    "track": (_tracks(), datamodel.save_tracks, oracles.reference_save_tracks),
+    "tube": (_tubes(), datamodel.save_action_tubes, oracles.reference_save_action_tubes),
+    "trackscores": (_score_matrices(), datamodel.save_track_scores,
+                    oracles.reference_save_track_scores),
+}
+
+
+def _assert_same_bytes(tmp, name, records):
+    _, save, reference = WRITERS[name]
+    save(records, tmp / "out.ndjson")
+    reference(records, tmp / "ref.ndjson")
+    assert (tmp / "out.ndjson").read_bytes() == (tmp / "ref.ndjson").read_bytes()
+
+
+@pytest.mark.parametrize("block", [2, jsonfmt._BLOCK_ROWS])
+@pytest.mark.parametrize("name", sorted(WRITERS))
+@given(data=st.data())
+def test_writers_write_reference_bytes(tmp_path_factory, name, block, data):
+    records = data.draw(WRITERS[name][0])
+    with mock.patch.object(jsonfmt, "_BLOCK_ROWS", block):
+        _assert_same_bytes(tmp_path_factory.mktemp(name), name, records)
+
+
+def _edge_records():
+    """Each writer's records: edge values, flagged or not, and frames without rows."""
+    box = Box(-5e-7, -1e-9, 2.0**32, 1e300)
+    tie = Box(-0.0, 2.5e-06, 0.0078125, 0.0078125)
+    plain = Box(-1.0, -0.0, 3.0, 4.0)
+    geometry = TubeGeometry(3, [box, tie, plain])
+    scores = [0.0, 1.0, 0.0078125]
+    return {
+        "gt": [GroundTruthTube("v0", "t0", 2**63 - 1, geometry),
+               GroundTruthTube("v0", "t1", 1, TubeGeometry(0, [plain]))],
+        "det": [FrameDetections("v0", 0, []),
+                FrameDetections("v0", 1, [Detection(box, 2, 0.0), Detection(tie, 3, 1.0)]),
+                FrameDetections("v0", 2, [Detection(plain, 3, 1.0), Detection(plain, 0, 0.0)]),
+                FrameDetections("v0", 3, []),
+                FrameDetections("v1", 0, [Detection(plain, 2**63 - 1, 0.5)])],
+        "track": [Track("v0", "k0", geometry, scores), Track("v0", "k1", geometry),
+                  Track("v1", "k0", TubeGeometry(0, [plain]), [-0.0]),
+                  Track("v1", "k1", TubeGeometry(0, [plain]))],
+        "tube": [ActionTube("v0", 2**63 - 1, geometry, scores),
+                 ActionTube("v0", 1, TubeGeometry(0, [plain]), [-0.0])],
+        "trackscores": [TrackScores("v0", "k0", 0, np.array([scores, [1e-9, 5e-7, 0.5]])),
+                        TrackScores("v0", "k1", 4, np.array([[0.25, -0.0, 1.0]]))],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_writers_write_reference_bytes_on_edge_values(tmp_path, name):
+    records = _edge_records()[name]
+    with mock.patch.object(datamodel, "dumps", wraps=dumps) as spy:
+        _assert_same_bytes(tmp_path, name, records)
+    fallbacks = [c for c in spy.call_args_list
+                 if isinstance(c.args[0], dict) and "schema" not in c.args[0]]
+    assert 0 < len(fallbacks) < len(records)  # lines from the kernel and from dumps
+    _assert_same_bytes(tmp_path, name, [])

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tubekit import cli, motion, synth
-from tubekit.datamodel import builtin_config, save_detections, save_ground_truth
+from tubekit.datamodel import (TrackScores, builtin_config, load_track_scores, load_tracks,
+                               save_detections, save_ground_truth, save_track_scores)
 from tubekit.linking import build_tubes
 from tubekit.metrics import evaluate_frames, evaluate_videos
 from tubekit.motion import MotionCategory, classify_motion
@@ -253,4 +254,49 @@ def test_synth_writes_pinned_bytes(tmp_path, capsys, spec, digests):
     assert cli.main(["synth", "--spec", str(spec_path), "--out", str(out)]) == 0
     written = {f.relative_to(out).as_posix(): hashlib.sha256(f.read_bytes()).hexdigest()
                for f in out.rglob("*") if f.is_file()}
+    assert written == digests
+
+
+# sha256 of what `build-tubes` and `trim-tracks` write from a synth fixture,
+# and of the track-score file `trim-tracks` reads, recorded when every NDJSON
+# writer still formatted one number at a time through ``jsonfmt.dumps``.
+PINNED_TUBES = [
+    (PINNED[0][0], {
+        "scores.ndjson": "7662262dedf8363c0d54d17b08ffc720b0d64be754ec7a4dd13d95ac4f5ed7d8",
+        "trimmed.ndjson": "af93c6d4ed773e0fb45acc57012e96810905b5d5bcaa196a14f8dea21e7fa42e",
+        "tubes.ndjson": "0541ef88a5a70ee8d9de94ca023562fcdd69d0a026a5dcc96e75561f59782382",
+    }),
+    (PINNED[1][0], {
+        "scores.ndjson": "fc01e1e2fa4d342382f42fb1b3705099d01478dca6208ddad7234a9999fc6106",
+        "trimmed.ndjson": "c3bb147ce36214458b2c6bae2d89900156dc6f62c1fb4aabd3d131a2df699c24",
+        "tubes.ndjson": "5501d0479bac58d7d560c3fb48135775a7d39af649a42ecb959e76d2364597ba",
+    }),
+    (PINNED[2][0], {
+        "scores.ndjson": "a8339644f68cc48580e3cfd95b0ad2b8fd62f18f46f1b8287b7a546bb89ff2e1",
+        "trimmed.ndjson": "8e8b1ad39989d9549da36d873d12cc1dee31454a7d1fc0e3099653d497757998",
+        "tubes.ndjson": "2d85b793b29cece2bcdb3ab258f42cd9095acd665ab066611afa4ffd3074c18f",
+    }),
+]
+
+
+@pytest.mark.parametrize("spec, digests", PINNED_TUBES)
+def test_tube_commands_write_pinned_bytes(tmp_path, capsys, spec, digests):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    assert cli.main(["synth", "--spec", str(spec_path), "--out", str(tmp_path)]) == 0
+    rng = np.random.default_rng(spec["seed"])
+    scores = [TrackScores(t.video_id, t.track_id, t.geometry.start_frame,
+                          rng.random((len(t.geometry), 6)))
+              for t in load_tracks(tmp_path / "tracks.ndjson")]
+    save_track_scores(scores, tmp_path / "scores.ndjson")
+    # save -> load -> save gives the same bytes
+    save_track_scores(load_track_scores(tmp_path / "scores.ndjson"), tmp_path / "again.ndjson")
+    assert (tmp_path / "again.ndjson").read_bytes() == (tmp_path / "scores.ndjson").read_bytes()
+    assert cli.main(["build-tubes", "--det", str(tmp_path / "detections.ndjson"),
+                     "--out", str(tmp_path / "tubes.ndjson")]) == 0
+    assert cli.main(["trim-tracks", "--tracks", str(tmp_path / "tracks.ndjson"),
+                     "--scores", str(tmp_path / "scores.ndjson"),
+                     "--out", str(tmp_path / "trimmed.ndjson")]) == 0
+    written = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in digests}
     assert written == digests
