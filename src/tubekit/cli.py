@@ -89,7 +89,7 @@ def _cmd_eval_videos(args) -> int:
     config = _resolve_config(args, required=args.motion)
     gts = datamodel.load_ground_truth(args.gt, config)
     tubes = datamodel.load_action_tubes(args.tubes, config)
-    if args.sweep:
+    if args.sweep is not None:
         thresholds = _parse_steps(args.sweep)
         # The st-IoUs do not depend on the threshold: compute them once.
         reports, mean = metrics.threshold_sweep(metrics._video_evaluator(tubes, gts), thresholds)
@@ -412,7 +412,7 @@ def main(argv=None) -> int:
     args = _parse_command(argv)
     if args is None:
         args = _build_parser().parse_args(argv)
-    if getattr(args, "sweep", None):
+    if getattr(args, "sweep", None) is not None:
         # A sweep prints one mAP per threshold; it has no single report to
         # write PR curves or a motion breakdown for.
         for flag, given in (("--pr-csv", args.pr_csv), ("--motion", args.motion)):

@@ -691,23 +691,20 @@ def _write_lines(path, schema: str, lines) -> None:
 
 
 def _row_texts(*fields) -> list:
-    """Per record, the text of its rows of numbers, or None where ``dumps`` must write it.
+    """Per record, the text of its rows of numbers.
 
     ``fields`` holds, for each column of a row, every record's array of that
-    column (see ``jsonfmt._number_rows``). A record's text is its rows as
-    they stand in a JSON array, without the enclosing brackets; it is None
-    when a row of the record holds a number that the kernel flagged.
+    column (see ``jsonfmt._number_rows``, which writes every row exactly,
+    through ``dumps`` for a row it cannot write itself). A record's text is
+    its rows as they stand in a JSON array, without the enclosing brackets.
     """
     if not fields[0]:
         return []
-    text, ends, flagged = _number_rows(*(np.concatenate(f) for f in fields))
-    bounds = np.fromiter(accumulate(map(len, fields[0]), initial=0), np.int64)
-    offsets = ends[bounds]
-    bad = np.concatenate(([0], np.cumsum(flagged)))[bounds]
+    text, ends = _number_rows(*(np.concatenate(f) for f in fields))
+    offsets = ends[np.fromiter(accumulate(map(len, fields[0]), initial=0), np.int64)]
     # Each row's text starts with a comma, which the first row of a record drops;
     # a record without rows gets text[e + 1:e], which is empty.
-    return [None if b else text[lo:hi] for lo, hi, b in
-            zip((offsets[:-1] + 1).tolist(), offsets[1:].tolist(), (bad[1:] > bad[:-1]).tolist())]
+    return [text[lo:hi] for lo, hi in zip((offsets[:-1] + 1).tolist(), offsets[1:].tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -741,13 +738,7 @@ def save_ground_truth(tubes, path) -> None:
     boxes = _row_texts([t.geometry.boxes for t in tubes])
     _write_lines(path, GT_SCHEMA, (
         f'{{"video":{dumps(t.video_id)},"tube":{dumps(t.tube_id)},"class":{int(t.class_id)},'
-        f'"start":{t.geometry.start_frame},"boxes":[{b}]}}' if b is not None else dumps({
-            "video": t.video_id,
-            "tube": t.tube_id,
-            "class": int(t.class_id),
-            "start": int(t.geometry.start_frame),
-            "boxes": t.geometry.boxes,
-        }) for t, b in zip(tubes, boxes)))
+        f'"start":{t.geometry.start_frame},"boxes":[{b}]}}' for t, b in zip(tubes, boxes)))
 
 
 # ---------------------------------------------------------------------------
@@ -784,12 +775,7 @@ def save_detections(frames, path) -> None:
     videos = {v: dumps(v) for v in {fd.video_id for fd in frames}}
     _write_lines(path, DET_SCHEMA, (
         f'{{"video":{videos[fd.video_id]},"frame":{int(fd.frame)},"dets":[{d}]}}'
-        if d is not None else dumps({
-            "video": fd.video_id,
-            "frame": int(fd.frame),
-            "dets": [[*box, c, s] for box, c, s in zip(
-                fd.boxes.tolist(), fd.class_ids.tolist(), fd.scores.tolist())],
-        }) for fd, d in zip(frames, dets)))
+        for fd, d in zip(frames, dets)))
 
 
 # ---------------------------------------------------------------------------
@@ -826,22 +812,9 @@ def save_tracks(tracks, path) -> None:
                               for t in tracks if t.box_scores is not None]))
     lines = []
     for t, b in zip(tracks, boxes):
-        scores = "" if t.box_scores is None else next(scored)
-        if b is not None and scores is not None:
-            if t.box_scores is not None:
-                scores = f',"scores":[{scores}]'
-            lines.append(f'{{"video":{dumps(t.video_id)},"track":{dumps(t.track_id)},'
-                         f'"start":{t.geometry.start_frame},"boxes":[{b}]{scores}}}')
-            continue
-        rec = {
-            "video": t.video_id,
-            "track": t.track_id,
-            "start": int(t.geometry.start_frame),
-            "boxes": t.geometry.boxes,
-        }
-        if t.box_scores is not None:
-            rec["scores"] = [float(s) for s in t.box_scores]
-        lines.append(dumps(rec))
+        scores = "" if t.box_scores is None else f',"scores":[{next(scored)}]'
+        lines.append(f'{{"video":{dumps(t.video_id)},"track":{dumps(t.track_id)},'
+                     f'"start":{t.geometry.start_frame},"boxes":[{b}]{scores}}}')
     _write_lines(path, TRACK_SCHEMA, lines)
 
 
@@ -878,14 +851,7 @@ def save_action_tubes(tubes, path) -> None:
     _write_lines(path, TUBE_SCHEMA, (
         f'{{"video":{dumps(t.video_id)},"class":{int(t.class_id)},"start":{t.geometry.start_frame},'
         f'"boxes":[{b}],"frame_scores":[{f}],"score":{s}}}'
-        if b is not None and f is not None and s is not None else dumps({
-            "video": t.video_id,
-            "class": int(t.class_id),
-            "start": int(t.geometry.start_frame),
-            "boxes": t.geometry.boxes,
-            "frame_scores": [float(s) for s in t.frame_scores],
-            "score": float(t.tube_score),
-        }) for t, b, f, s in zip(tubes, boxes, frame_scores, scores)))
+        for t, b, f, s in zip(tubes, boxes, frame_scores, scores)))
 
 
 # ---------------------------------------------------------------------------
@@ -925,9 +891,4 @@ def save_track_scores(items, path) -> None:
     rows = _row_texts([ts.scores for ts in items])
     _write_lines(path, TRACK_SCORES_SCHEMA, (
         f'{{"video":{dumps(ts.video_id)},"track":{dumps(ts.track_id)},'
-        f'"start":{int(ts.start_frame)},"scores":[{r}]}}' if r is not None else dumps({
-            "video": ts.video_id,
-            "track": ts.track_id,
-            "start": int(ts.start_frame),
-            "scores": ts.scores,
-        }) for ts, r in zip(items, rows)))
+        f'"start":{int(ts.start_frame)},"scores":[{r}]}}' for ts, r in zip(items, rows)))

@@ -3,7 +3,8 @@
 Every file this package writes holds the text :func:`dumps` gives, so that
 identical in-memory data always produces identical bytes. The NDJSON writers
 get their numbers' text from :func:`_number_rows`, one array pass per field,
-and fall back to :func:`dumps` for a line that it cannot write exactly.
+which rewrites through :func:`dumps` each row holding a number it cannot
+write exactly; no writer has a second way to write a line.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ _LIMIT = 2**32  # digits come from uint32 integer parts, so values stay below it
 # 10**6 * 2**-53 < 2**-33. rint(p), which rounds ties to even, then rounds
 # f * 10**6 as '%.6f' does (correctly, ties to even), unless f * 10**6 lies
 # within 2**-33 of a half-integer. Every p within _TIE of one is flagged,
-# exact ties included, and its line goes to dumps.
+# exact ties included, and its row goes to dumps.
 _TIE = 2.0**-30
 # The codes a row is written in: a digit is its own value, then the point,
 # the sign, the comma and the brackets; _PAD marks a code that writes nothing.
@@ -113,7 +114,7 @@ def _field_codes(values):
     field writes. ``flagged`` marks floats that are not finite, whose
     magnitude is 2**32 - 1 or more or whose sixth decimal lies near a
     rounding tie, and integers outside [0, 2**32); their fields hold other
-    numbers.
+    numbers, and :func:`_number_rows` rewrites their rows.
     """
     if values.dtype.kind == "f":
         mag = np.abs(values)
@@ -166,20 +167,21 @@ def _number_rows(*columns):
     """The text of rows of numbers, computed in whole-array passes.
 
     Row i holds row i of each of ``columns``, in order: an (n, k) float64
-    block, or an (n,) float64 or int64 column. Returns ``(text, ends,
-    flagged)``: ``text`` is every row, each written ``,[a,b,...]`` (or
-    ``,a`` when the only column is one-dimensional), ``ends`` the (n + 1,)
-    offsets in ``text`` where each row ends, after a 0, and ``flagged`` an
-    (n,) mask of the rows whose text may differ from :func:`dumps` (see
-    _field_codes). Unflagged rows read as :func:`dumps` writes their
-    numbers, floats through :func:`format_float` and integers through ``str``.
+    block, or an (n,) float64 or int64 column. Returns ``(text, ends)``:
+    ``text`` is every row, each written ``,[a,b,...]`` (or ``,a`` when the
+    only column is one-dimensional), as :func:`dumps` writes its numbers,
+    floats through :func:`format_float` and integers through ``str``;
+    ``ends`` is the (n + 1,) offsets in ``text`` where each row ends, after
+    a 0. A row that holds a number the pass flags (see _field_codes) is
+    rewritten by :func:`dumps`, so every row is exact.
     """
     n = len(columns[0])
     flat = len(columns) == 1 and columns[0].ndim == 1
-    texts, ends, flagged = [], [np.zeros(1, np.int64)], np.zeros(n, bool)
+    texts, ends = [], [np.zeros(1, np.int64)]
     for lo in range(0, n, _BLOCK_ROWS):
-        fields = [_field_codes(column[lo:lo + _BLOCK_ROWS]) for column in columns]
-        rows = len(fields[0][0])
+        block = [column[lo:lo + _BLOCK_ROWS] for column in columns]
+        fields = [_field_codes(column) for column in block]
+        rows = len(block[0])
         codes = [codes.reshape(rows, -1) for codes, _, _ in fields]
         sizes = sum(sizes.reshape(rows, -1).sum(axis=1) for _, sizes, _ in fields)
         if not flat:  # a comma, then the bracketed numbers
@@ -189,8 +191,17 @@ def _number_rows(*columns):
         codes = np.concatenate(codes, axis=1)
         if not flat:
             codes[:, 1] = _OPEN  # the first number's comma
-        texts.append(codes.tobytes().translate(_ASCII, bytes((_PAD,))).decode("ascii"))
+        text = codes.tobytes().translate(_ASCII, bytes((_PAD,))).decode("ascii")
+        flagged = np.flatnonzero(sum(bad.reshape(rows, -1).any(axis=1) for _, _, bad in fields))
+        if len(flagged):  # rewrite each flagged row through dumps, and its size
+            stops, parts, last = np.cumsum(sizes).tolist(), [], 0
+            picked = zip(*(column[flagged].reshape(len(flagged), -1).tolist() for column in block))
+            for i, pieces in zip(flagged.tolist(), picked):  # a row's numbers, column by column
+                numbers = [v for piece in pieces for v in piece]
+                row = "," + dumps(numbers[0] if flat else numbers)
+                parts += [text[last:stops[i] - sizes[i]], row]
+                sizes[i], last = len(row), stops[i]
+            text = "".join([*parts, text[last:]])
+        texts.append(text)
         ends.append(np.cumsum(sizes) + ends[-1][-1])
-        for _, _, bad in fields:
-            flagged[lo:lo + rows] |= bad.reshape(rows, -1).any(axis=1)
-    return "".join(texts), np.concatenate(ends), flagged
+    return "".join(texts), np.concatenate(ends)

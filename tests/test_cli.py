@@ -599,9 +599,7 @@ class TestMalformedInputErrors:
                        "--out", tmp_path / "x.tkt", check=False)
         self.assert_error(proc, f"{weights} bin weights, more than 16777216")
 
-    @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e309:1", "nan:1:0.1"])
-    @pytest.mark.parametrize("command", ["eval-videos", "motion-cdf"])
-    def test_non_finite_step_range(self, fixture_dir, tmp_path, command, bad):
+    def assert_range_error(self, fixture_dir, tmp_path, command, bad, message):
         gt = fixture_dir / "synth" / "gt.ndjson"
         if command == "eval-videos":
             tubes = tmp_path / "tubes.ndjson"
@@ -610,23 +608,27 @@ class TestMalformedInputErrors:
         else:
             args = ("motion-cdf", "--gt", gt, "--edges", bad, "--out", tmp_path / "cdf.csv")
         proc = run_cli(*args, check=False)
-        self.assert_error(proc, f"bad range '{bad}': start, stop and step must be finite")
+        self.assert_error(proc, message)
         assert len(proc.stderr.decode().splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["eval-videos", "motion-cdf"])
+    def test_empty_step_range(self, fixture_dir, tmp_path, command):
+        # An empty --sweep is a malformed range, not a missing one.
+        self.assert_range_error(fixture_dir, tmp_path, command, "",
+                                "expected start:stop:step, got ''")
+
+    @pytest.mark.parametrize("bad", ["0:inf:1", "0:1e309:1", "nan:1:0.1"])
+    @pytest.mark.parametrize("command", ["eval-videos", "motion-cdf"])
+    def test_non_finite_step_range(self, fixture_dir, tmp_path, command, bad):
+        self.assert_range_error(fixture_dir, tmp_path, command, bad,
+                                f"bad range '{bad}': start, stop and step must be finite")
 
     @pytest.mark.parametrize("command, bad", [("motion-cdf", "0:1e12:1"),
                                               ("eval-videos", "0:0.5:1e-12")])
     def test_step_range_too_long(self, fixture_dir, tmp_path, command, bad):
         # Rejected from the count alone: the list of 10**12 values is never built.
-        gt = fixture_dir / "synth" / "gt.ndjson"
-        if command == "eval-videos":
-            tubes = tmp_path / "tubes.ndjson"
-            tubes.write_text("")
-            args = ("eval-videos", "--gt", gt, "--tubes", tubes, "--sweep", bad)
-        else:
-            args = ("motion-cdf", "--gt", gt, "--edges", bad, "--out", tmp_path / "cdf.csv")
-        proc = run_cli(*args, check=False)
-        self.assert_error(proc, f"bad range '{bad}': more than 100000 values")
-        assert len(proc.stderr.decode().splitlines()) == 1
+        self.assert_range_error(fixture_dir, tmp_path, command, bad,
+                                f"bad range '{bad}': more than 100000 values")
 
 
     @pytest.mark.parametrize("flags, message", [

@@ -84,7 +84,7 @@ def _reference_main(argv) -> int:
     """``main`` as it was when every call built and used the full parser."""
     parser = cli._build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "sweep", None):
+    if getattr(args, "sweep", None) is not None:  # an empty --sweep is a sweep too
         for flag, given_ in (("--pr-csv", args.pr_csv), ("--motion", args.motion)):
             if given_:
                 parser.error(f"eval-videos: {flag} cannot be combined with --sweep")

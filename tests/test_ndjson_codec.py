@@ -8,8 +8,9 @@ from the top of the field. A load must give the same objects as with those
 readers patched in, field types included, or the same ``path:line:
 message``, which keeps the order of errors; ``dumps`` must give the same
 bytes as the element-by-element reference in ``oracles``. The writers' array
-kernel must write each number as ``format_float`` or ``str`` does, or flag
-it, and each writer the bytes of its reference ``oracles.reference_save_*``.
+kernel must write each row of numbers as ``dumps`` does, floats as
+``format_float`` and integers as ``str``, and each writer the bytes of its
+reference ``oracles.reference_save_*``.
 """
 
 import contextlib
@@ -412,10 +413,17 @@ def test_dumps_equals_reference(value):
 
 
 def _kernel_texts(*columns):
-    """Each row's text from jsonfmt._number_rows, or None for a flagged row."""
-    text, ends, flagged = jsonfmt._number_rows(*columns)
-    return [None if bad else text[lo + 1:hi]
-            for lo, hi, bad in zip(ends[:-1].tolist(), ends[1:].tolist(), flagged.tolist())]
+    """Each row's text from jsonfmt._number_rows, without its leading comma."""
+    text, ends = jsonfmt._number_rows(*columns)
+    assert all(text[lo] == "," for lo in ends[:-1].tolist())
+    return [text[lo + 1:hi] for lo, hi in zip(ends[:-1].tolist(), ends[1:].tolist())]
+
+
+def _dumps_rows(*columns):
+    """Each row's numbers as dumps writes them, the reference for _kernel_texts."""
+    flat = len(columns) == 1 and columns[0].ndim == 1
+    rows = zip(*((c[:, None] if c.ndim == 1 else c).tolist() for c in columns))
+    return [dumps(row[0][0] if flat else [v for part in row for v in part]) for row in rows]
 
 
 def _near_half(n, step):
@@ -437,44 +445,41 @@ _near_ties = (
 )
 
 
-@given(st.lists(st.floats(allow_nan=False, allow_infinity=False) | _near_ties, max_size=40))
+@given(st.lists(st.floats() | _near_ties, max_size=40))
 @example(NEAR_TIES)
 @example([0.0078125, -0.0, -1e-9, -5e-7, 5e-7, 0.9999995, 0.9999997, -0.9999997,
           2.0**32 - 1.5, 2.0**32 - 1, 2.0**32, 1e300, -1e300, 1e-300])
-def test_kernel_writes_format_float_or_flags(values):
+def test_kernel_writes_format_float(values):
     column = np.array(values, dtype=np.float64)
     texts = _kernel_texts(column)
-    for v, text in zip(values, texts):
-        assert text is None or text == format_float(v), v
-    assert all(t is None for v, t in zip(values, texts) if not abs(v) < 2**32 - 1)
+    assert texts == [format_float(v) for v in values] == _dumps_rows(column)
     if len(values) % 2 == 0:  # rows of a block, bracketed
-        pairs = _kernel_texts(column.reshape(-1, 2))
-        assert pairs == [None if a is None or b is None else f"[{a},{b}]"
-                         for a, b in zip(texts[::2], texts[1::2])]
+        pairs = column.reshape(-1, 2)
+        assert _kernel_texts(pairs) == [f"[{a},{b}]" for a, b in zip(texts[::2], texts[1::2])]
+        assert _kernel_texts(pairs) == _dumps_rows(pairs)
 
 
 @given(st.lists(st.integers(-2**63, 2**63 - 1)
                 | st.sampled_from([0, 2**32 - 1, 2**32, 2**63 - 1, -1]), max_size=40))
-def test_kernel_writes_integers_or_flags(values):
-    texts = _kernel_texts(np.array(values, dtype=np.int64))
-    assert texts == [str(v) if 0 <= v < 2**32 else None for v in values]
+def test_kernel_writes_integers(values):
+    assert _kernel_texts(np.array(values, dtype=np.int64)) == [str(v) for v in values]
 
 
-def test_kernel_flags_non_finite_values():
+def test_kernel_rewrites_non_finite_values():
     assert _kernel_texts(np.array([math.nan, math.inf, -math.inf, 1.5])) == \
-        [None, None, None, "1.500000"]
+        [format_float(v) for v in (math.nan, math.inf, -math.inf, 1.5)]
 
 
-def test_kernel_flags_every_exact_tie():
+def test_kernel_rewrites_every_exact_tie():
     ties = (2 * np.arange(-5000, 5000) + 1) / 128  # f * 10**6 is k + 0.5 exactly
-    assert _kernel_texts(ties) == [None] * len(ties)
+    assert _kernel_texts(ties) == [format_float(v) for v in ties.tolist()]
 
 
 def test_tie_bound_is_needed():
     """With no tie flag, the near-ties above are written wrong: the bound does work."""
     with mock.patch.object(jsonfmt, "_TIE", 0.0):
         texts = _kernel_texts(np.array(NEAR_TIES))
-    assert all(t is not None and t != format_float(v) for v, t in zip(NEAR_TIES, texts))
+    assert all(t != format_float(v) for v, t in zip(NEAR_TIES, texts))
 
 
 def test_kernel_rows_span_blocks():
@@ -482,18 +487,25 @@ def test_kernel_rows_span_blocks():
     boxes = rng.uniform(-2000, 2000, (11, 4))
     classes = rng.integers(0, 30, 11)
     scores = rng.uniform(0, 1, 11)
-    whole = jsonfmt._number_rows(boxes, classes, scores)
-    with mock.patch.object(jsonfmt, "_BLOCK_ROWS", 3):
-        split = jsonfmt._number_rows(boxes, classes, scores)
-    assert whole[0] == split[0] and np.array_equal(whole[1], split[1])
-    assert _kernel_texts(boxes, classes, scores) == [
-        "[" + ",".join([*map(format_float, b), str(c), format_float(s)]) + "]"
-        for b, c, s in zip(boxes.tolist(), classes.tolist(), scores.tolist())]
+    flagged = boxes.copy(), classes.copy(), scores.copy()
+    # Flagged numbers in the first and last rows of 3-row blocks, and of the run.
+    flagged[0][0, 0], flagged[1][3], flagged[2][5], flagged[0][10, 3] = \
+        math.nan, 2**32, 0.0078125, 1e300
+    for columns in ((boxes, classes, scores), flagged):
+        whole = jsonfmt._number_rows(*columns)
+        with mock.patch.object(jsonfmt, "_BLOCK_ROWS", 3):
+            split = jsonfmt._number_rows(*columns)
+            texts = _kernel_texts(*columns)
+        assert whole[0] == split[0] and np.array_equal(whole[1], split[1])
+        assert texts == _dumps_rows(*columns) == [
+            "[" + ",".join([*map(format_float, b), str(c), format_float(s)]) + "]"
+            for b, c, s in zip(*(column.tolist() for column in columns))]
 
 
 def test_kernel_on_no_rows():
-    text, ends, flagged = jsonfmt._number_rows(np.empty((0, 4)))
-    assert text == "" and ends.tolist() == [0] and flagged.shape == (0,)
+    text, ends = jsonfmt._number_rows(np.empty((0, 4)))
+    assert text == "" and ends.tolist() == [0]
+    assert _kernel_texts(np.empty(0, np.int64)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -618,9 +630,15 @@ def _edge_records():
 @pytest.mark.parametrize("name", sorted(WRITERS))
 def test_writers_write_reference_bytes_on_edge_values(tmp_path, name):
     records = _edge_records()[name]
-    with mock.patch.object(datamodel, "dumps", wraps=dumps) as spy:
+    rows = []
+
+    def number_rows(*columns):
+        rows.append(len(columns[0]))
+        return jsonfmt._number_rows(*columns)
+
+    # Inside jsonfmt, only _number_rows calls dumps: once per row it rewrites.
+    with mock.patch.object(datamodel, "_number_rows", number_rows), \
+            mock.patch.object(jsonfmt, "dumps", wraps=dumps) as rewritten:
         _assert_same_bytes(tmp_path, name, records)
-    fallbacks = [c for c in spy.call_args_list
-                 if isinstance(c.args[0], dict) and "schema" not in c.args[0]]
-    assert 0 < len(fallbacks) < len(records)  # lines from the kernel and from dumps
+    assert 0 < rewritten.call_count < sum(rows)  # rows from the kernel and from dumps
     _assert_same_bytes(tmp_path, name, [])
