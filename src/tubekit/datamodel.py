@@ -339,6 +339,32 @@ def _split_frames(keys, boxes, class_ids, scores, counts) -> list:
     return out
 
 
+def _key_pairs(keys, counts, unit_keys) -> tuple:
+    """``(pair_row, pair_unit)``: every row against every unit of the same key.
+
+    Group i holds the next ``counts[i]`` rows and has key ``keys[i]``; unit u
+    has key ``unit_keys[u]``. Pairs come grouped by ascending row, with
+    ascending units within a row.
+    """
+    same = {}
+    for u, key in enumerate(unit_keys):
+        same.setdefault(key, []).append(u)
+    groups = [same.get(key, ()) for key in keys]
+    sizes = np.array([len(us) for us in groups], np.intp)
+    firsts = np.repeat(np.cumsum(sizes) - sizes, counts)  # each row's first unit in units
+    per_row = np.repeat(sizes, counts)
+    pair_row = np.repeat(np.arange(len(per_row)), per_row)
+    shift = firsts - np.cumsum(per_row) + per_row  # from a pair's index to its unit's
+    units = np.fromiter(chain.from_iterable(groups), np.intp, int(sizes.sum()))
+    return pair_row, units[np.arange(len(pair_row)) + np.repeat(shift, per_row)]
+
+
+def _box_keys(tubes) -> list:
+    """Each box's ``(video, frame)``, tube by tube."""
+    return [(t.video_id, frame) for t in tubes
+            for frame in range(t.geometry.start_frame, t.geometry.start_frame + len(t.geometry))]
+
+
 @dataclass(frozen=True)
 class GroundTruthTube:
     video_id: str

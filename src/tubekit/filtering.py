@@ -8,11 +8,9 @@ evaluation with spurious positives.
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
-from .datamodel import _columns, _split_frames
+from .datamodel import _box_keys, _columns, _key_pairs, _split_frames
 from .geometry import box_iou
 
 __all__ = ["filter_by_tracks"]
@@ -31,30 +29,16 @@ def filter_by_tracks(detections, tracks, match_iou: float = 0.5,
     if not 0.0 <= score_thresh <= 1.0:
         raise ValueError(f"score_thresh {score_thresh} outside [0, 1]")
 
-    track_rows = {}                         # (video, frame) -> rows of track_boxes
-    n = 0
-    for tr in tracks:
-        start = tr.geometry.start_frame
-        for i in range(len(tr.geometry)):
-            track_rows.setdefault((tr.video_id, start + i), []).append(n + i)
-        n += len(tr.geometry)
-    track_boxes = np.concatenate([np.empty((0, 4))] + [tr.geometry.boxes for tr in tracks])
-
-    # Every (candidate, track box) pair on a shared frame, scored by one box_iou
-    # call: detection i pairs with the rows on_frame[frame_of[i]] of track_boxes.
+    # Every (detection, track box) pair on a shared frame, then those of
+    # detections that clear the score threshold, scored by one box_iou call.
     detections = list(detections)
     boxes, class_ids, scores = _columns(detections)
     counts = [len(fd.scores) for fd in detections]
     keys = [(fd.video_id, fd.frame) for fd in detections]
-    on_frame = [track_rows.get(key, ()) for key in keys]
-    frame_of = np.repeat(np.arange(len(detections)), counts)
-    sizes = np.array([len(rows) for rows in on_frame], dtype=np.intp)
-    firsts = np.cumsum(sizes) - sizes
-    pairs = np.where(scores >= score_thresh, sizes[frame_of], 0)
-    pair_det = np.repeat(np.arange(len(scores)), pairs)
-    within = np.arange(len(pair_det)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-    pair_trk = np.fromiter(chain.from_iterable(on_frame), np.intp)[
-        firsts[frame_of[pair_det]] + within]
+    pair_det, pair_trk = _key_pairs(keys, counts, _box_keys(tracks))
+    scored = scores[pair_det] >= score_thresh
+    pair_det, pair_trk = pair_det[scored], pair_trk[scored]
+    track_boxes = np.concatenate([np.empty((0, 4))] + [tr.geometry.boxes for tr in tracks])
     ious = box_iou(boxes[pair_det], track_boxes[pair_trk])
     keep = np.zeros(len(scores), dtype=bool)
     keep[pair_det[ious >= match_iou]] = True

@@ -22,33 +22,7 @@ def format_float(v: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def _flat_numbers(seq):
-    """``seq`` as one JSON array when it holds only Python floats and ints, else None.
-
-    Same text as :func:`format_float` and ``str`` per element; the exact type
-    tests leave bools, numpy scalars and everything else to :func:`_emit`.
-    """
-    parts = []
-    for v in seq:
-        t = type(v)
-        if t is float:
-            parts.append(f"{v:.6f}")
-        elif t is int:
-            parts.append(f"{v}")
-        else:
-            return None
-    # Only numbers are joined, so -0.000000 is only ever a whole number there.
-    return f"[{','.join(parts).replace('-0.000000', '0.000000')}]"
-
-
 def _emit(obj, out: list) -> None:
-    if isinstance(obj, np.ndarray) and obj.ndim >= 1 and obj.dtype.kind in "fiu":
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        flat = _flat_numbers(obj)
-        if flat is not None:
-            out.append(flat)
-            return
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):

@@ -6,11 +6,14 @@ higher-ranked detection claimed that item first. AP is the running-precision
 sum over true-positive ranks divided by the number of positives.
 
 One engine serves both levels. It takes detection class and score columns and
-the candidate pairs (detection, same-frame or same-video same-class
-ground-truth item, overlap): the IoUs of one ``box_iou`` call, or st-IoUs. One
-stable ``lexsort`` ranks every detection by class, then descending score. Only
-pairs above the threshold enter the greedy claim loop; every other detection
-is a false positive. Hit flags, PR curves, per-class AP and the motion
+the candidate pairs (detection, ground-truth item, overlap), which one key join
+builds, as it does for the track filter: at the frame level every detection
+against the ground-truth boxes of its (video, frame), then a class mask, scored
+by one ``box_iou`` call; at the video level every tube against the
+ground-truth tubes of its (video, class), scored by st-IoU. One stable
+``lexsort`` ranks every detection by class, then descending score. Only pairs
+above the threshold enter the greedy claim loop; every other detection is a
+false positive. Hit flags, PR curves, per-class AP and the motion
 breakdown are then read from cumulative sums over the rank-ordered arrays.
 """
 
@@ -18,11 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
 
 import numpy as np
 
-from .datamodel import _columns
+from .datamodel import _box_keys, _columns, _key_pairs
 from .geometry import box_iou, st_iou
 from .jsonfmt import format_float
 from .motion import MotionCategory
@@ -245,37 +247,20 @@ def evaluate_frames(detections, gts, iou_thresh, motion_labels=None, jobs=1) -> 
     ignored: all work runs in one thread.
     """
     detections, gts = list(detections), list(gts)
-    # GT unit u is one box: the units are every tube's boxes, tube by tube.
-    lengths = [len(g.geometry) for g in gts]
-    same, u = {}, 0
-    for g, length in zip(gts, lengths):
-        video, start = g.video_id, g.geometry.start_frame
-        for frame in range(start, start + length):
-            same.setdefault((video, frame), []).append(u)
-            u += 1
-    frame_units = [same.get((fd.video_id, fd.frame), ()) for fd in detections]
-
     boxes, class_ids, scores = _columns(detections)
     values, inverse = np.unique(class_ids, return_inverse=True)
     classes, value_ci, tube_ci = _class_index(values.tolist(), [g.class_id for g in gts])
     det_ci = value_ci[inverse]
-    unit_tube = np.repeat(np.arange(len(gts)), lengths)
+    # GT unit u is one box: the units are every tube's boxes, tube by tube.
+    unit_tube = np.repeat(np.arange(len(gts)), [len(g.geometry) for g in gts])
     unit_ci = tube_ci[unit_tube]
 
-    # Candidate pairs: each detection against the same-class GT boxes of its
-    # frame, found by sorting every frame's boxes on (frame, class).
-    k, frame_ids = len(classes), np.arange(len(detections))
-    n_units = np.array([len(us) for us in frame_units], np.intp)
-    units = np.fromiter(chain.from_iterable(frame_units), np.intp, int(n_units.sum()))
-    unit_key = np.repeat(frame_ids, n_units) * k + unit_ci[units]
-    by_key = np.argsort(unit_key, kind="stable")
-    unit_key, units = unit_key[by_key], units[by_key]
-    det_key = np.repeat(frame_ids, [len(fd.scores) for fd in detections]) * k + det_ci
-    lo = np.searchsorted(unit_key, det_key)
-    n_pairs = np.searchsorted(unit_key, det_key, side="right") - lo
-    pair_det = np.repeat(np.arange(len(det_key)), n_pairs)
-    shift = lo - np.cumsum(n_pairs) + n_pairs  # from a pair's index to its unit's in units
-    pair_gt = units[np.arange(len(pair_det)) + np.repeat(shift, n_pairs)]
+    # Candidate pairs: each detection against the GT boxes of its frame, then
+    # those of its class.
+    pair_det, pair_gt = _key_pairs([(fd.video_id, fd.frame) for fd in detections],
+                                   [len(fd.scores) for fd in detections], _box_keys(gts))
+    same = det_ci[pair_det] == unit_ci[pair_gt]
+    pair_det, pair_gt = pair_det[same], pair_gt[same]
     gt_boxes = np.concatenate([np.empty((0, 4))] + [g.geometry.boxes for g in gts])
     ious = box_iou(boxes[pair_det], gt_boxes[pair_gt])
     return _evaluate("frame", classes, det_ci, scores, (pair_det, pair_gt, ious), unit_ci,
@@ -286,14 +271,10 @@ def _video_evaluator(tubes, gts):
     """``evaluate_videos`` for these tubes at any threshold: a function of
     ``(st_iou_thresh, motion_labels=None)``. Every st-IoU is computed here, once."""
     tubes, gts = list(tubes), list(gts)
-    same = {}
-    for j, g in enumerate(gts):
-        same.setdefault((g.video_id, g.class_id), []).append(j)
-    cands = [same.get((t.video_id, t.class_id), ()) for t in tubes]
-    pair_det = np.repeat(np.arange(len(tubes)), [len(js) for js in cands])
-    pair_gt = np.fromiter(chain.from_iterable(cands), np.intp, len(pair_det))
-    st_ious = np.array([st_iou(t.geometry, gts[j].geometry)
-                        for t, js in zip(tubes, cands) for j in js], np.float64)
+    pair_det, pair_gt = _key_pairs([(t.video_id, t.class_id) for t in tubes], [1] * len(tubes),
+                                   [(g.video_id, g.class_id) for g in gts])
+    st_ious = np.array([st_iou(tubes[d].geometry, gts[j].geometry)
+                        for d, j in zip(pair_det.tolist(), pair_gt.tolist())], np.float64)
     classes, det_ci, unit_ci = _class_index([t.class_id for t in tubes],
                                             [g.class_id for g in gts])
     scores = np.array([t.tube_score for t in tubes], np.float64)

@@ -210,19 +210,16 @@ def motion_cdf(gts, pair_offset_frames: int, bin_edges) -> tuple:
     edges = [float(e) for e in bin_edges]
     if not edges:
         raise ValueError("bin edges must be non-empty")
+    if np.isnan(edges).any():
+        raise ValueError("bin edges must not be NaN")
     if sorted(edges) != edges:
         raise ValueError("bin edges must be ascending")
     measured = _motion_values([gt.geometry for gt in gts], [pair_offset_frames])
     values = [value for value, used in measured if used]
     excluded = len(measured) - len(values)
-    points = []
-    for e in edges:
-        if values:
-            frac = sum(1 for v in values if v <= e) / len(values)
-        else:
-            frac = 0.0
-        points.append((e, frac))
-    return points, excluded
+    at_or_below = np.searchsorted(np.sort(values), edges, side="right").tolist()
+    return [(e, count / len(values) if values else 0.0)
+            for e, count in zip(edges, at_or_below)], excluded
 
 
 def write_cdf_csv(points, excluded: int, path) -> None:

@@ -148,6 +148,22 @@ def test_filter_matches_reference(tmp_path_factory, frames, tracks, match_iou, s
         assert (tmp / "new.ndjson").read_bytes() == (tmp / "ref.ndjson").read_bytes()
 
 
+def test_filter_repeated_frame_matches_reference():
+    # One key's detections over two in-memory frames; the loader refuses a
+    # repeated frame, so this case cannot go through a file.
+    frames = [FrameDetections("a", 1, [_det((0.0, 0.0, 10.0, 20.0), 0, 0.5),
+                                       _det((5.0, 5.0, 20.0, 20.0), 1, 0.25)]),
+              FrameDetections("a", 2, []),
+              FrameDetections("a", 1, [_det((0.0, 0.0, 10.0, 10.0), 2, 0.05),
+                                       _det((0.0, 0.0, 10.0, 10.0), 2, 0.0499)])]
+    tracks = TRACK_AT_HALF + [Track("a", "j", TubeGeometry(0, [(5.0, 5.0, 20.0, 20.0)] * 2))]
+    kept = filter_by_tracks(frames, tracks, 0.5, 0.05)
+    expected = reference_filter_by_tracks(frames, tracks, 0.5, 0.05)
+    assert kept == expected
+    assert [len(fd.entries) for fd in kept] == [2, 0, 1]
+    _assert_columns(kept)
+
+
 def test_on_the_line_kept():
     (fd,) = filter_by_tracks(ON_THE_LINE, TRACK_AT_HALF, 0.5, 0.05)
     assert [d.score for d in fd.entries] == [0.05]

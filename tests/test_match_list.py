@@ -65,7 +65,16 @@ def frame_instances(draw):
             key = (draw(VIDEOS), draw(st.integers(0, 5)))
             box, cls = draw(boxes()), draw(CLASSES)
         by_frame.setdefault(key, []).append(Detection(Box(*box), cls, draw(SCORES)))
-    dets = [FrameDetections(v, f, entries) for (v, f), entries in by_frame.items()]
+    dets = []
+    for (v, f), entries in by_frame.items():
+        # sometimes one key's detections are split over two frames
+        cut = draw(st.integers(0, len(entries))) if draw(st.booleans()) else len(entries)
+        dets.append(FrameDetections(v, f, entries[:cut]))
+        if cut < len(entries):
+            dets.append(FrameDetections(v, f, entries[cut:]))
+    if draw(st.booleans()):  # and a frame may hold no detection
+        dets.insert(draw(st.integers(0, len(dets))),
+                    FrameDetections(draw(VIDEOS), draw(st.integers(0, 5)), []))
     return dets, gts
 
 

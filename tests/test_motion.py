@@ -388,6 +388,8 @@ class TestMotionCdf:
             motion_cdf([], 25, [])
         with pytest.raises(ValueError):
             motion_cdf([], 0, [0.5])
+        with pytest.raises(ValueError, match="must not be NaN"):
+            motion_cdf([], 1, [0.9, float("nan"), 0.1])
 
     @pytest.mark.parametrize("offset", [1.5, 2.0, True, "2"])
     def test_non_integer_offset_error(self, offset):
