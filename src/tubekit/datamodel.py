@@ -591,6 +591,10 @@ _INF = math.inf
 # number, nor an index count. A row the test rejects gets the per-field checks
 # where it stands: they name its first problem or replace it by its converted
 # values (integer coordinates stay valid), and the loop goes on with the next.
+# A checked box list or score matrix is then packed in one flat np.fromiter
+# pass: every row holds exactly its width of Python floats by then, so the
+# values equal np.array's. The count is no length check (fromiter stops
+# quietly after it), which is why the row checks come first.
 
 
 def _last_index(values: list, rest) -> int:
@@ -616,7 +620,7 @@ def _get_boxes(obj, key="boxes") -> np.ndarray:
         if not isinstance(row, list) or len(row) != 4:
             raise ValueError(f"{key}[{i}] must be [x1,y1,x2,y2]")
         v[i] = [_get_number(c, f"{key}[{i}]") for c in row]
-    return np.array(v, dtype=np.float64)
+    return np.fromiter(chain.from_iterable(v), np.float64, 4 * len(v)).reshape(-1, 4)
 
 
 def _get_scores(obj, key, expected_len) -> list:
@@ -900,7 +904,8 @@ def load_track_scores(path) -> list:
         if (video, track) in seen:
             raise ValueError(f"duplicate track '{track}' in video '{video}'")
         seen.add((video, track))
-        return TrackScores(video, track, start, np.array(mat))
+        flat = np.fromiter(chain.from_iterable(mat), np.float64, width * len(mat))
+        return TrackScores(video, track, start, flat.reshape(len(mat), width))
 
     out = _load_records(path, TRACK_SCORES_SCHEMA, parse)
     out.sort(key=lambda t: t.key)

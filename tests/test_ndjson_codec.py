@@ -306,6 +306,73 @@ def test_first_error_of_a_field(tmp_path, name, records, lineno, message):
     assert str(exc.value) == f"{path}:{lineno}: {message}"
 
 
+# Loaded box lists and score matrices are packed with np.fromiter and a count
+# of rows times width; fromiter stops quietly at its count, so these fields
+# hold exactly that many numbers in rows of the wrong length and must still
+# fail at the row check.
+_ROW = "[%s]" % ",".join(["0.5"] * 24)
+_ROWS_23_25 = "[[%s],[%s]]" % (",".join(["0.5"] * 23), ",".join(["0.5"] * 25))
+
+
+@pytest.mark.parametrize("name, records, lineno, message", [
+    ("track", ['{"video":"v","track":"k","start":0,'
+               '"boxes":[[1.0,2.0,3.0],[1.0,2.0,3.0,4.0,5.0]]}'],
+     2, "boxes[0] must be [x1,y1,x2,y2]"),
+    ("trackscores", ['{"video":"v","track":"a","start":0,"scores":[%s]}' % _ROW,
+                     '{"video":"v","track":"b","start":0,"scores":%s}' % _ROWS_23_25],
+     3, "scores[0] has 23 classes, expected 24"),
+    ("trackscores", ['{"video":"v","track":"b","start":0,"scores":%s}' % _ROWS_23_25,
+                     '{"video":"v","track":"a","start":0,"scores":[%s]}' % _ROW],
+     2, "scores[1] has 25 classes, expected 23"),
+], ids=["boxes-3-and-5", "matrix-23-and-25-after-24", "matrix-23-sets-width"])
+def test_packing_count_is_no_length_check(tmp_path, name, records, lineno, message):
+    path = tmp_path / f"{name}.ndjson"
+    path.write_text(_canonical_lines(tmp_path, name)[0] + "\n" + "\n".join(records) + "\n")
+    with pytest.raises(FileFormatError) as exc:
+        SCHEMAS[name][2](path)
+    assert str(exc.value) == f"{path}:{lineno}: {message}"
+
+
+# Edge values a packed array must hold bit for bit; integers take the
+# per-field path, which converts them to floats.
+_PACK_COORDS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_PACK_SCORES = [-0.0, 0.0, 5e-324, 1.0, 0.5]
+_pack_coord = (st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from(_PACK_COORDS) | st.integers(-2**63, 2**63))
+_pack_score = st.floats(0.0, 1.0) | st.sampled_from(_PACK_SCORES) | st.integers(0, 1)
+
+
+def _assert_packed(packed, rows, width):
+    expected = np.array(rows, dtype=np.float64)
+    assert packed.dtype == np.float64 and packed.shape == (len(rows), width)
+    assert packed.tobytes() == expected.tobytes()
+
+
+@given(st.lists(st.lists(_pack_coord, min_size=4, max_size=4), min_size=1, max_size=12))
+@example([[-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308]])
+@example([[0, -1, 2**53 + 1, -2**63], [-0.0, 0.0, -5e-324, 1.5]])
+def test_packed_boxes_equal_np_array(rows):
+    packed = datamodel._get_boxes({"boxes": [list(r) for r in rows]})
+    _assert_packed(packed, rows, 4)
+
+
+@given(st.integers(1, 24).flatmap(lambda width: st.lists(
+    st.lists(st.lists(_pack_score, min_size=width, max_size=width), min_size=1, max_size=6),
+    min_size=1, max_size=3)))
+@example([[[-0.0, 5e-324, 1, 0]]])
+@example([[[0, 1], [-0.0, 5e-324]], [[1.0, 0.5]]])
+def test_packed_score_matrices_equal_np_array(tmp_path_factory, matrices):
+    path = tmp_path_factory.mktemp("pack") / "trackscores.ndjson"
+    path.write_text("\n".join(
+        [json.dumps({"schema": datamodel.TRACK_SCORES_SCHEMA})]
+        + [json.dumps({"video": "v", "track": f"k{i:02d}", "start": 0, "scores": m})
+           for i, m in enumerate(matrices)]) + "\n")
+    loaded = datamodel.load_track_scores(path)
+    assert len(loaded) == len(matrices)
+    for ts, m in zip(loaded, matrices):
+        _assert_packed(ts.scores, m, len(m[0]))
+
+
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 @pytest.mark.parametrize("index", [0, 1, -1])
 def test_byte_order_mark_keeps_json_loads_message(tmp_path, name, index):
