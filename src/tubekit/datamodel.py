@@ -586,15 +586,12 @@ def _get_number(value, what) -> float:
 _INF = math.inf
 
 
-# One loop reads each list field. Its fast test takes a row by exact type tests
-# and local comparisons, so files written by tubekit cost no function call per
-# number, nor an index count. A row the test rejects gets the per-field checks
-# where it stands: they name its first problem or replace it by its converted
-# values (integer coordinates stay valid), and the loop goes on with the next.
-# A checked box list or score matrix is then packed in one flat np.fromiter
-# pass: every row holds exactly its width of Python floats by then, so the
-# values equal np.array's. The count is no length check (fromiter stops
-# quietly after it), which is why the row checks come first.
+# The five loaders share one record reader, ``_load``, which reads a record's
+# fields in the order its schema's table (below) lists them. Each list field
+# reader is one loop: exact type tests take a row, and a row they reject gets
+# the per-field checks where it stands. Box lists and score matrices are then
+# packed in one flat np.fromiter pass. Its count is no length check, so the row
+# checks, which leave each row its width of floats, come first.
 
 
 def _last_index(values: list, rest) -> int:
@@ -713,6 +710,70 @@ def _check_class(class_id, config):
         )
 
 
+# Each schema's fields as (name, kind), in the order they are checked. A
+# "unique" entry holds the message for a repeated key, the record's first two
+# values, and marks where that check runs: after the key for detections, after
+# the last field for ground truth, tracks and track scores; tubes have none.
+_GT_FIELDS = (("video", "id"), ("tube", "id"), ("class", "class"), ("start", "int"),
+              ("boxes", "boxes"), ("duplicate tube '{1}' in video '{0}'", "unique"))
+_DET_FIELDS = (("video", "id"), ("frame", "int"),
+               ("duplicate frame {1} in video '{0}'", "unique"), ("dets", "dets"))
+_TRACK_FIELDS = (("video", "id"), ("track", "id"), ("start", "int"), ("boxes", "boxes"),
+                 ("scores", "optional scores"), ("duplicate track '{1}' in video '{0}'", "unique"))
+_TUBE_FIELDS = (("video", "id"), ("class", "class"), ("start", "int"), ("boxes", "boxes"),
+                ("frame_scores", "scores"), ("score", "score"))
+_TRACK_SCORES_FIELDS = (("video", "id"), ("track", "id"), ("start", "int"),
+                        ("scores", "matrix"), ("duplicate track '{1}' in video '{0}'", "unique"))
+
+
+def _load(path, schema: str, fields, make, order, config=None) -> list:
+    """``make(*values)`` of each record, its ``fields`` read in order; sorted by ``order``."""
+    required = [name for name, kind in fields if kind not in ("unique", "optional scores")]
+    optional = [name for name, kind in fields if kind == "optional scores"]
+    seen = set()
+    width = None  # a score matrix's class count, set by the file's first one
+
+    def parse(obj):
+        nonlocal width
+        _check_fields(obj, required, optional)
+        values = []
+        for name, kind in fields:
+            if kind == "id":
+                value = _get_str(obj, name)
+            elif kind == "int":
+                value = _get_int(obj, name, minimum=0)
+            elif kind == "unique":
+                key = values[0], values[1]
+                if key in seen:
+                    raise ValueError(name.format(*key))
+                seen.add(key)
+                continue
+            elif kind == "dets":
+                value = _get_dets(obj, config)
+            elif kind == "boxes":
+                value = boxes = _get_boxes(obj, name)
+            elif kind == "class":
+                value = _get_int(obj, name, minimum=0)
+                _check_class(value, config)
+            elif kind in ("scores", "optional scores"):  # a required field is there by now
+                value = _get_scores(obj, name, expected_len=len(boxes)) if name in obj else None
+            elif kind == "matrix":
+                rows = _get_matrix(obj, width)
+                width = len(rows[0])
+                value = np.fromiter(chain.from_iterable(rows), np.float64, width * len(rows))
+                value = value.reshape(len(rows), width)
+            else:  # "score"
+                value = _get_number(obj[name], f"field '{name}'")
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"field '{name}' = {value} outside [0, 1]")
+            values.append(value)
+        return make(*values)
+
+    records = _load_records(path, schema, parse)
+    records.sort(key=order)
+    return records
+
+
 def _write_lines(path, schema: str, lines) -> None:
     """Write the header and ``lines``, an iterable of records' text, in one write."""
     text = "\n".join(chain((dumps({"schema": schema}),), lines, ("",)))
@@ -743,24 +804,9 @@ def _row_texts(*fields) -> list:
 
 def load_ground_truth(path, config: DatasetConfig | None = None) -> list:
     """Load ground-truth tubes, sorted by (video, tube). Duplicate ids are errors."""
-    seen = set()
-
-    def parse(obj):
-        _check_fields(obj, ("video", "tube", "class", "start", "boxes"))
-        video = _get_str(obj, "video")
-        tube = _get_str(obj, "tube")
-        class_id = _get_int(obj, "class", minimum=0)
-        _check_class(class_id, config)
-        start = _get_int(obj, "start", minimum=0)
-        boxes = _get_boxes(obj)
-        if (video, tube) in seen:
-            raise ValueError(f"duplicate tube '{tube}' in video '{video}'")
-        seen.add((video, tube))
-        return GroundTruthTube(video, tube, class_id, TubeGeometry(start, boxes))
-
-    tubes = _load_records(path, GT_SCHEMA, parse)
-    tubes.sort(key=lambda t: t.key)
-    return tubes
+    return _load(path, GT_SCHEMA, _GT_FIELDS, lambda video, tube, class_id, start, boxes:
+                 GroundTruthTube(video, tube, class_id, TubeGeometry(start, boxes)),
+                 attrgetter("key"), config)
 
 
 def save_ground_truth(tubes, path) -> None:
@@ -780,19 +826,8 @@ def load_detections(path, config: DatasetConfig | None = None) -> list:
 
     The frames hold slices of one table of all the file's detections.
     """
-    seen = set()
-
-    def parse(obj):
-        _check_fields(obj, ("video", "frame", "dets"))
-        video = _get_str(obj, "video")
-        frame = _get_int(obj, "frame", minimum=0)
-        if (video, frame) in seen:
-            raise ValueError(f"duplicate frame {frame} in video '{video}'")
-        seen.add((video, frame))
-        return (video, frame), _get_dets(obj, config)
-
-    records = _load_records(path, DET_SCHEMA, parse)
-    records.sort(key=itemgetter(0))
+    records = _load(path, DET_SCHEMA, _DET_FIELDS, lambda video, frame, dets:
+                    ((video, frame), dets), itemgetter(0), config)
     counts = [len(rows) for _, rows in records]
     columns = _table(chain.from_iterable(rows for _, rows in records), sum(counts))
     return _split_frames([key for key, _ in records], *columns, counts)
@@ -814,25 +849,8 @@ def save_detections(frames, path) -> None:
 
 def load_tracks(path) -> list:
     """Load tracks, sorted by (video, track)."""
-    seen = set()
-
-    def parse(obj):
-        _check_fields(obj, ("video", "track", "start", "boxes"), ("scores",))
-        video = _get_str(obj, "video")
-        track = _get_str(obj, "track")
-        start = _get_int(obj, "start", minimum=0)
-        boxes = _get_boxes(obj)
-        scores = None
-        if "scores" in obj:
-            scores = _get_scores(obj, "scores", expected_len=len(boxes))
-        if (video, track) in seen:
-            raise ValueError(f"duplicate track '{track}' in video '{video}'")
-        seen.add((video, track))
-        return Track(video, track, TubeGeometry(start, boxes), scores)
-
-    tracks = _load_records(path, TRACK_SCHEMA, parse)
-    tracks.sort(key=lambda t: t.key)
-    return tracks
+    return _load(path, TRACK_SCHEMA, _TRACK_FIELDS, lambda video, track, start, boxes, scores:
+                 Track(video, track, TubeGeometry(start, boxes), scores), attrgetter("key"))
 
 
 def save_tracks(tracks, path) -> None:
@@ -854,23 +872,9 @@ def save_tracks(tracks, path) -> None:
 
 def load_action_tubes(path, config: DatasetConfig | None = None) -> list:
     """Load detected action tubes, sorted by (video, class, start)."""
-
-    def parse(obj):
-        _check_fields(obj, ("video", "class", "start", "boxes", "frame_scores", "score"))
-        video = _get_str(obj, "video")
-        class_id = _get_int(obj, "class", minimum=0)
-        _check_class(class_id, config)
-        start = _get_int(obj, "start", minimum=0)
-        boxes = _get_boxes(obj)
-        frame_scores = _get_scores(obj, "frame_scores", expected_len=len(boxes))
-        score = _get_number(obj["score"], "field 'score'")
-        if not 0.0 <= score <= 1.0:
-            raise ValueError(f"field 'score' = {score} outside [0, 1]")
-        return ActionTube(video, class_id, TubeGeometry(start, boxes), frame_scores, score)
-
-    tubes = _load_records(path, TUBE_SCHEMA, parse)
-    tubes.sort(key=_tube_order)
-    return tubes
+    return _load(path, TUBE_SCHEMA, _TUBE_FIELDS, lambda video, class_id, start, boxes, *scores:
+                 ActionTube(video, class_id, TubeGeometry(start, boxes), *scores),
+                 _tube_order, config)
 
 
 def save_action_tubes(tubes, path) -> None:
@@ -890,26 +894,7 @@ def save_action_tubes(tubes, path) -> None:
 
 def load_track_scores(path) -> list:
     """Load per-track class score matrices, sorted by (video, track)."""
-    seen = set()
-    width = None
-
-    def parse(obj):
-        nonlocal width
-        _check_fields(obj, ("video", "track", "start", "scores"))
-        video = _get_str(obj, "video")
-        track = _get_str(obj, "track")
-        start = _get_int(obj, "start", minimum=0)
-        mat = _get_matrix(obj, width)
-        width = len(mat[0])
-        if (video, track) in seen:
-            raise ValueError(f"duplicate track '{track}' in video '{video}'")
-        seen.add((video, track))
-        flat = np.fromiter(chain.from_iterable(mat), np.float64, width * len(mat))
-        return TrackScores(video, track, start, flat.reshape(len(mat), width))
-
-    out = _load_records(path, TRACK_SCORES_SCHEMA, parse)
-    out.sort(key=lambda t: t.key)
-    return out
+    return _load(path, TRACK_SCORES_SCHEMA, _TRACK_SCORES_FIELDS, TrackScores, attrgetter("key"))
 
 
 def save_track_scores(items, path) -> None:

@@ -5,7 +5,8 @@ and padding arithmetic, no code shared with the package under test. The
 exceptions are frozen copies of earlier package code: ``reference_evaluate``,
 ``reference_tracks_to_tubes``, the element-by-element NDJSON writers
 ``reference_save_*``, the Detection-list detection loader and filter,
-the typed/per-field field readers ``reference_get_*``, the Box-based
+the loaders with one parse closure each ``reference_load_*``, the
+typed/per-field field readers ``reference_get_*``, the Box-based
 ``reference_greedy_link`` and ``reference_build_tubes``, and the scalar
 ``reference_solve_speed``. They borrow the package's overlap functions,
 record checks and result types, so their results can be compared with
@@ -1126,6 +1127,125 @@ def reference_filter_by_tracks(detections, tracks, match_iou: float = 0.5,
         FrameDetections(fd.video_id, fd.frame, [d for d in ds if next(hits)])
         for fd, ds in zip(detections, cands)
     ]
+
+
+# ---------------------------------------------------------------------------
+# the loaders with one parse closure each, kept as the reference for the reader
+#
+# These are ``load_ground_truth``, ``load_tracks``, ``load_action_tubes`` and
+# ``load_track_scores`` as tubekit shipped them before the five loaders shared
+# one record reader (``reference_load_detections`` above is the detection
+# loader of an earlier time). They share the record and field checks and the
+# result types with the package, and import them when called, so that a test
+# which patches a field reader patches it here too: they pin only the order
+# in which each record's fields and its duplicate-key check are read.
+
+
+def reference_load_ground_truth(path, config=None) -> list:
+    """Load ground-truth tubes, sorted by (video, tube). Duplicate ids are errors."""
+    from tubekit.datamodel import (GT_SCHEMA, GroundTruthTube, _check_class, _check_fields,
+                                   _get_boxes, _get_int, _get_str, _load_records)
+    from tubekit.geometry import TubeGeometry
+
+    seen = set()
+
+    def parse(obj):
+        _check_fields(obj, ("video", "tube", "class", "start", "boxes"))
+        video = _get_str(obj, "video")
+        tube = _get_str(obj, "tube")
+        class_id = _get_int(obj, "class", minimum=0)
+        _check_class(class_id, config)
+        start = _get_int(obj, "start", minimum=0)
+        boxes = _get_boxes(obj)
+        if (video, tube) in seen:
+            raise ValueError(f"duplicate tube '{tube}' in video '{video}'")
+        seen.add((video, tube))
+        return GroundTruthTube(video, tube, class_id, TubeGeometry(start, boxes))
+
+    tubes = _load_records(path, GT_SCHEMA, parse)
+    tubes.sort(key=lambda t: t.key)
+    return tubes
+
+
+def reference_load_tracks(path) -> list:
+    """Load tracks, sorted by (video, track)."""
+    from tubekit.datamodel import (TRACK_SCHEMA, Track, _check_fields, _get_boxes, _get_int,
+                                   _get_scores, _get_str, _load_records)
+    from tubekit.geometry import TubeGeometry
+
+    seen = set()
+
+    def parse(obj):
+        _check_fields(obj, ("video", "track", "start", "boxes"), ("scores",))
+        video = _get_str(obj, "video")
+        track = _get_str(obj, "track")
+        start = _get_int(obj, "start", minimum=0)
+        boxes = _get_boxes(obj)
+        scores = None
+        if "scores" in obj:
+            scores = _get_scores(obj, "scores", expected_len=len(boxes))
+        if (video, track) in seen:
+            raise ValueError(f"duplicate track '{track}' in video '{video}'")
+        seen.add((video, track))
+        return Track(video, track, TubeGeometry(start, boxes), scores)
+
+    tracks = _load_records(path, TRACK_SCHEMA, parse)
+    tracks.sort(key=lambda t: t.key)
+    return tracks
+
+
+def reference_load_action_tubes(path, config=None) -> list:
+    """Load detected action tubes, sorted by (video, class, start)."""
+    from tubekit.datamodel import (TUBE_SCHEMA, ActionTube, _check_class, _check_fields,
+                                   _get_boxes, _get_int, _get_number, _get_scores, _get_str,
+                                   _load_records, _tube_order)
+    from tubekit.geometry import TubeGeometry
+
+    def parse(obj):
+        _check_fields(obj, ("video", "class", "start", "boxes", "frame_scores", "score"))
+        video = _get_str(obj, "video")
+        class_id = _get_int(obj, "class", minimum=0)
+        _check_class(class_id, config)
+        start = _get_int(obj, "start", minimum=0)
+        boxes = _get_boxes(obj)
+        frame_scores = _get_scores(obj, "frame_scores", expected_len=len(boxes))
+        score = _get_number(obj["score"], "field 'score'")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"field 'score' = {score} outside [0, 1]")
+        return ActionTube(video, class_id, TubeGeometry(start, boxes), frame_scores, score)
+
+    tubes = _load_records(path, TUBE_SCHEMA, parse)
+    tubes.sort(key=_tube_order)
+    return tubes
+
+
+def reference_load_track_scores(path) -> list:
+    """Load per-track class score matrices, sorted by (video, track)."""
+    from itertools import chain
+
+    from tubekit.datamodel import (TRACK_SCORES_SCHEMA, TrackScores, _check_fields, _get_int,
+                                   _get_matrix, _get_str, _load_records)
+
+    seen = set()
+    width = None
+
+    def parse(obj):
+        nonlocal width
+        _check_fields(obj, ("video", "track", "start", "scores"))
+        video = _get_str(obj, "video")
+        track = _get_str(obj, "track")
+        start = _get_int(obj, "start", minimum=0)
+        mat = _get_matrix(obj, width)
+        width = len(mat[0])
+        if (video, track) in seen:
+            raise ValueError(f"duplicate track '{track}' in video '{video}'")
+        seen.add((video, track))
+        flat = np.fromiter(chain.from_iterable(mat), np.float64, width * len(mat))
+        return TrackScores(video, track, start, flat.reshape(len(mat), width))
+
+    out = _load_records(path, TRACK_SCORES_SCHEMA, parse)
+    out.sort(key=lambda t: t.key)
+    return out
 
 
 # ---------------------------------------------------------------------------
