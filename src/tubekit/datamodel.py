@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields
 from itertools import accumulate, chain
@@ -486,6 +487,7 @@ def _reject_constant(token):
 
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")  # the whitespace JSON allows between tokens
 
 
 def _utf8_error(path, exc: UnicodeDecodeError) -> FileFormatError:
@@ -524,14 +526,25 @@ def _load_records(path, schema: str, parse) -> list:
                 line = raw.strip()
                 if not line:
                     continue
+                # The scanner is called directly: ``decode``'s wrappers cost
+                # about as much as the field checks of a small record. The two
+                # errors they add are raised here in their wording: "Expecting
+                # value" where no value starts, "Extra data" past the
+                # whitespace after the value (the line is stripped, so
+                # something other than whitespace follows it).
                 try:
-                    obj = _DECODER.decode(line)
-                except (ValueError, RecursionError) as exc:
+                    obj, end = _DECODER.scan_once(line, 0)
+                    if end != len(line):
+                        raise json.JSONDecodeError(
+                            "Extra data", line, _JSON_SPACE.match(line, end).end())
+                except (StopIteration, ValueError, RecursionError) as exc:
                     if line.startswith("\ufeff"):
                         # json.loads' own message, which the decoder does not give
                         exc = json.JSONDecodeError(
                             "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
                         )
+                    elif type(exc) is StopIteration:
+                        exc = json.JSONDecodeError("Expecting value", line, exc.value)
                     raise ValueError(f"invalid JSON: {exc}") from None
                 if not isinstance(obj, dict):
                     raise ValueError("record must be a JSON object")
@@ -728,20 +741,28 @@ _TRACK_SCORES_FIELDS = (("video", "id"), ("track", "id"), ("start", "int"),
 
 def _load(path, schema: str, fields, make, order, config=None) -> list:
     """``make(*values)`` of each record, its ``fields`` read in order; sorted by ``order``."""
-    required = [name for name, kind in fields if kind not in ("unique", "optional scores")]
-    optional = [name for name, kind in fields if kind == "optional scores"]
+    required = frozenset(name for name, kind in fields if kind not in ("unique", "optional scores"))
+    optional = frozenset(name for name, kind in fields if kind == "optional scores")
+    allowed = required | optional
     seen = set()
     width = None  # a score matrix's class count, set by the file's first one
 
     def parse(obj):
         nonlocal width
-        _check_fields(obj, required, optional)
+        keys = obj.keys()
+        if keys != required and keys != allowed:  # _check_fields names what is wrong
+            _check_fields(obj, required, optional)
         values = []
+        # An exact type test accepts an id or an int; _get_str and _get_int word a rejection.
         for name, kind in fields:
             if kind == "id":
-                value = _get_str(obj, name)
+                value = obj[name]
+                if type(value) is not str or not value:
+                    value = _get_str(obj, name)
             elif kind == "int":
-                value = _get_int(obj, name, minimum=0)
+                value = obj[name]
+                if type(value) is not int or value < 0:
+                    value = _get_int(obj, name, minimum=0)
             elif kind == "unique":
                 key = values[0], values[1]
                 if key in seen:

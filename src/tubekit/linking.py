@@ -86,14 +86,14 @@ class _ActivePath:
         self.score_sum, self.created = cand[6], created
 
 
-def _link_rows(by_frame, params: LinkParams) -> list:
+def _link_rows(cands, by_frame, params: LinkParams) -> list:
     """``greedy_link``'s rules on candidate tuples ``(row, x1, y1, x2, y2, area, score)``.
 
-    ``by_frame`` lists ``(frame, candidates)`` in ascending frame order, each
-    frame's candidates strongest first. Frames without a candidate may be
-    left out: a miss run is counted from frame numbers, and no claim can
-    happen there. Returns the kept paths in creation order as ``(start
-    frame, rows, scores)``, one row and score per frame.
+    ``by_frame`` lists ``(frame, lo, hi)`` in ascending frame order: the
+    frame's candidates are ``cands[lo:hi]``, strongest first. Frames without
+    a candidate may be left out: a miss run is counted from frame numbers,
+    and no claim can happen there. Returns the kept paths in creation order
+    as ``(start frame, rows, scores)``, one row and score per frame.
     """
     gate = params.iou_gate
     active: list = []
@@ -117,7 +117,7 @@ def _link_rows(by_frame, params: LinkParams) -> list:
                 scores.append(cand[6])
         kept.append((p.created, p.start, rows, scores))
 
-    for t, cands in by_frame:
+    for t, lo, hi in by_frame:
         survivors = []
         for p in active:
             if t - 1 - p.frames[-1] > params.max_misses:
@@ -125,7 +125,7 @@ def _link_rows(by_frame, params: LinkParams) -> list:
             else:
                 survivors.append(p)
         active = survivors
-        free = list(cands)
+        free = cands[lo:hi]
         # active is in creation order, so the stable sort breaks ties by it.
         for p in sorted(active, key=lambda p: -(p.score_sum / (t - p.start))):
             for j, cand in enumerate(free):
@@ -144,13 +144,18 @@ def _link_rows(by_frame, params: LinkParams) -> list:
 
 
 def _by_class(frame_dets) -> tuple:
-    """One video's box column and each class's ``(frame, candidates)`` list.
+    """One video's box column, candidate tuples and each class's ``(frame, lo, hi)`` list.
 
     A repeated frame keeps its last detections. One stable sort orders the
     rows by class, frame and descending score, so equal scores keep row order.
+    The candidates are the sorted rows as ``_link_rows`` takes them, and a
+    class's list holds, in ascending frame order, each of its frames with
+    the range of ``cands`` that frame's rows fill. Frame numbers are the
+    frames' own, so a number past int64 stays exact.
     """
     frames = {fd.frame: fd for fd in frame_dets}
     frames = [frames[t] for t in sorted(frames)]
+    numbers = [fd.frame for fd in frames]
     boxes, class_ids, scores = _columns(frames)
     frame_of = np.repeat(np.arange(len(frames)), [len(fd.scores) for fd in frames])
     rows = np.lexsort((-scores, frame_of, class_ids))
@@ -159,13 +164,15 @@ def _by_class(frame_dets) -> tuple:
     cands = list(zip(rows.tolist(), *boxes[rows].T.tolist(), area[rows].tolist(),
                      scores[rows].tolist()))
     c, at = class_ids[rows], frame_of[rows]
-    starts = np.flatnonzero((np.diff(c, prepend=-1) != 0) | (np.diff(at, prepend=-1) != 0))
-    starts = starts.tolist()
-    by_class = {}
-    for lo, hi, k, i in zip(starts, starts[1:] + [len(rows)], c[starts].tolist(),
-                            at[starts].tolist()):
-        by_class.setdefault(k, []).append((frames[i].frame, cands[lo:hi]))
-    return boxes, by_class
+    new_class = np.diff(c, prepend=-1) != 0
+    starts = np.flatnonzero(new_class | (np.diff(at, prepend=-1) != 0))
+    ranges = list(zip(map(numbers.__getitem__, at[starts].tolist()), starts.tolist(),
+                      np.append(starts[1:], len(rows)).tolist()))
+    firsts = np.flatnonzero(new_class[starts])  # each class's first range
+    bounds = np.append(firsts, len(starts)).tolist()
+    by_class = {k: ranges[lo:hi] for k, lo, hi in
+                zip(c[starts[firsts]].tolist(), bounds, bounds[1:])}
+    return boxes, cands, by_class
 
 
 def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> list:
@@ -181,9 +188,9 @@ def greedy_link(frame_dets, class_id: int, params: LinkParams | None = None) -> 
     claimed box and score 0. Leftover detections seed new paths. Paths
     shorter than ``min_len`` are discarded.
     """
-    boxes, by_class = _by_class(frame_dets)
+    boxes, cands, by_class = _by_class(frame_dets)
     return [LinkedPath(class_id, start, [Box(*b) for b in boxes[rows].tolist()], scores)
-            for start, rows, scores in _link_rows(by_class.get(class_id, []),
+            for start, rows, scores in _link_rows(cands, by_class.get(class_id, []),
                                                   params or LinkParams())]
 
 
@@ -324,9 +331,9 @@ def build_tubes(detections, link_params: LinkParams | None = None,
 
     out = []
     for video_id in sorted(by_video):
-        boxes, by_class = _by_class(by_video[video_id])
+        boxes, cands, by_class = _by_class(by_video[video_id])
         for c, by_frame in by_class.items():
-            for start, path_rows, path_scores in _link_rows(by_frame, link_params):
+            for start, path_rows, path_scores in _link_rows(cands, by_frame, link_params):
                 for s, e in trim_path(path_scores, trim_params):
                     geom = TubeGeometry(start + s, boxes[path_rows[s : e + 1]])
                     out.append(ActionTube(video_id, c, geom, path_scores[s : e + 1]))

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import enum
 import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import DatasetConfig, FileFormatError, load_json
+from .datamodel import _JSON_SPACE, DatasetConfig, FileFormatError, load_json
 from .datamodel import _check_fields, _get_number, _get_str  # the NDJSON record checks
 from .geometry import TubeGeometry, _is_integer, box_iou
 from .jsonfmt import dumps, format_float
@@ -243,9 +242,6 @@ def save_motion_labels(labels: dict, path) -> None:
     payload = {"schema": MOTION_LABELS_SCHEMA, "labels": records}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps(payload) + "\n")
-
-
-_JSON_SPACE = re.compile(r"[ \t\n\r]*")
 
 
 def _label_record_line(text: str, index: int) -> int:

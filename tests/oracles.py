@@ -5,12 +5,12 @@ and padding arithmetic, no code shared with the package under test. The
 exceptions are frozen copies of earlier package code: ``reference_evaluate``,
 ``reference_tracks_to_tubes``, the element-by-element NDJSON writers
 ``reference_save_*``, the Detection-list detection loader and filter,
-the loaders with one parse closure each ``reference_load_*``, the
-typed/per-field field readers ``reference_get_*``, the Box-based
-``reference_greedy_link`` and ``reference_build_tubes``, and the scalar
-``reference_solve_speed``. They borrow the package's overlap functions,
-record checks and result types, so their results can be compared with
-``==``, ``repr`` or as bytes.
+the loaders with one parse closure each ``reference_load_*`` and their
+record reader ``reference_load_records``, the typed/per-field field
+readers ``reference_get_*``, the Box-based ``reference_greedy_link`` and
+``reference_build_tubes``, and the scalar ``reference_solve_speed``. They
+borrow the package's overlap functions, record checks and result types, so
+their results can be compared with ``==``, ``repr`` or as bytes.
 """
 
 from __future__ import annotations
@@ -990,6 +990,59 @@ def reference_save_track_scores(items, path) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the record reader with one JSONDecoder.decode per line, kept as the reference
+#
+# This is ``datamodel._load_records`` as tubekit shipped it before the reader
+# called the JSON scanner directly. Every ``reference_load_*`` below reads its
+# records through it, so the scanner's errors, lines and values are checked
+# against ``decode``'s. It shares ``FileFormatError`` and the UTF-8 error
+# locator with the package.
+
+
+def _reference_reject_constant(token):
+    raise ValueError(f"non-finite number '{token}' not allowed")
+
+
+_REFERENCE_DECODER = json.JSONDecoder(parse_constant=_reference_reject_constant)
+
+
+def reference_load_records(path, schema: str, parse) -> list:
+    """``parse`` of each record after the header line; a ValueError is reported at its line."""
+    from tubekit.datamodel import FileFormatError, _utf8_error
+
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        saw_header = False
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    obj = _REFERENCE_DECODER.decode(line)
+                except (ValueError, RecursionError) as exc:
+                    if line.startswith("\ufeff"):
+                        # json.loads' own message, which the decoder does not give
+                        exc = json.JSONDecodeError(
+                            "Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0
+                        )
+                    raise ValueError(f"invalid JSON: {exc}") from None
+                if not isinstance(obj, dict):
+                    raise ValueError("record must be a JSON object")
+                if saw_header:
+                    records.append(parse(obj))
+                elif obj == {"schema": schema}:
+                    saw_header = True
+                else:
+                    raise ValueError(f'expected header {{"schema":"{schema}"}}')
+        except UnicodeDecodeError as exc:
+            raise _utf8_error(path, exc) from None
+        except ValueError as exc:
+            raise FileFormatError(path, lineno, str(exc)) from None
+    return records
+
+
+# ---------------------------------------------------------------------------
 # frame detections as Detection lists, kept as the reference for the columns
 #
 # This is ``load_detections`` and ``filter_by_tracks`` as tubekit shipped
@@ -997,7 +1050,8 @@ def reference_save_track_scores(items, path) -> None:
 # pair per row on load, and a Python pass over them to filter. (The writer of
 # that time is ``reference_save_detections`` above.) They share the record
 # checks, ``box_iou`` and the result types with the package, because they
-# check values and order exactly.
+# check values and order exactly. The loader also has the class bound of
+# 2**63 that the package's int64 table sets, with the package's message.
 
 
 def _reference_typed_dets(v, num_classes):
@@ -1040,11 +1094,12 @@ def _reference_detection(x1, y1, x2, y2, class_id, score):
 
 
 def _reference_get_dets(obj, config) -> list:
-    from tubekit.datamodel import _INF, Detection, _check_class, _get_number
+    from tubekit.datamodel import _INF, Detection, _check_class, _get_number, _shown
     from tubekit.geometry import Box
 
     dets = obj["dets"]
-    entries = _reference_typed_dets(dets, _INF if config is None else config.num_classes)
+    num_classes = _INF if config is None else config.num_classes
+    entries = _reference_typed_dets(dets, min(num_classes, 2**63))  # class ids are int64
     if entries is not None:
         return entries
     if not isinstance(dets, list):
@@ -1057,6 +1112,8 @@ def _reference_get_dets(obj, config) -> list:
         if isinstance(row[4], bool) or not isinstance(row[4], int) or row[4] < 0:
             raise ValueError(f"dets[{i}] class must be an integer >= 0")
         _check_class(row[4], config)
+        if row[4] >= 2**63:
+            raise ValueError(f"dets[{i}] class must be below 2**63, got {_shown(row[4])}")
         score = _get_number(row[5], f"dets[{i}] score")
         if not 0.0 <= score <= 1.0:
             raise ValueError(f"dets[{i}] score {score} outside [0, 1]")
@@ -1067,7 +1124,7 @@ def _reference_get_dets(obj, config) -> list:
 def reference_load_detections(path, config=None) -> list:
     """Load per-frame detections, sorted by (video, frame)."""
     from tubekit.datamodel import (DET_SCHEMA, FrameDetections, _check_fields, _get_int,
-                                   _get_str, _load_records)
+                                   _get_str)
 
     seen = set()
 
@@ -1080,7 +1137,7 @@ def reference_load_detections(path, config=None) -> list:
         seen.add((video, frame))
         return FrameDetections(video, frame, _reference_get_dets(obj, config))
 
-    frames = _load_records(path, DET_SCHEMA, parse)
+    frames = reference_load_records(path, DET_SCHEMA, parse)
     frames.sort(key=lambda fd: (fd.video_id, fd.frame))
     return frames
 
@@ -1144,7 +1201,7 @@ def reference_filter_by_tracks(detections, tracks, match_iou: float = 0.5,
 def reference_load_ground_truth(path, config=None) -> list:
     """Load ground-truth tubes, sorted by (video, tube). Duplicate ids are errors."""
     from tubekit.datamodel import (GT_SCHEMA, GroundTruthTube, _check_class, _check_fields,
-                                   _get_boxes, _get_int, _get_str, _load_records)
+                                   _get_boxes, _get_int, _get_str)
     from tubekit.geometry import TubeGeometry
 
     seen = set()
@@ -1162,7 +1219,7 @@ def reference_load_ground_truth(path, config=None) -> list:
         seen.add((video, tube))
         return GroundTruthTube(video, tube, class_id, TubeGeometry(start, boxes))
 
-    tubes = _load_records(path, GT_SCHEMA, parse)
+    tubes = reference_load_records(path, GT_SCHEMA, parse)
     tubes.sort(key=lambda t: t.key)
     return tubes
 
@@ -1170,7 +1227,7 @@ def reference_load_ground_truth(path, config=None) -> list:
 def reference_load_tracks(path) -> list:
     """Load tracks, sorted by (video, track)."""
     from tubekit.datamodel import (TRACK_SCHEMA, Track, _check_fields, _get_boxes, _get_int,
-                                   _get_scores, _get_str, _load_records)
+                                   _get_scores, _get_str)
     from tubekit.geometry import TubeGeometry
 
     seen = set()
@@ -1189,7 +1246,7 @@ def reference_load_tracks(path) -> list:
         seen.add((video, track))
         return Track(video, track, TubeGeometry(start, boxes), scores)
 
-    tracks = _load_records(path, TRACK_SCHEMA, parse)
+    tracks = reference_load_records(path, TRACK_SCHEMA, parse)
     tracks.sort(key=lambda t: t.key)
     return tracks
 
@@ -1198,7 +1255,7 @@ def reference_load_action_tubes(path, config=None) -> list:
     """Load detected action tubes, sorted by (video, class, start)."""
     from tubekit.datamodel import (TUBE_SCHEMA, ActionTube, _check_class, _check_fields,
                                    _get_boxes, _get_int, _get_number, _get_scores, _get_str,
-                                   _load_records, _tube_order)
+                                   _tube_order)
     from tubekit.geometry import TubeGeometry
 
     def parse(obj):
@@ -1214,7 +1271,7 @@ def reference_load_action_tubes(path, config=None) -> list:
             raise ValueError(f"field 'score' = {score} outside [0, 1]")
         return ActionTube(video, class_id, TubeGeometry(start, boxes), frame_scores, score)
 
-    tubes = _load_records(path, TUBE_SCHEMA, parse)
+    tubes = reference_load_records(path, TUBE_SCHEMA, parse)
     tubes.sort(key=_tube_order)
     return tubes
 
@@ -1224,7 +1281,7 @@ def reference_load_track_scores(path) -> list:
     from itertools import chain
 
     from tubekit.datamodel import (TRACK_SCORES_SCHEMA, TrackScores, _check_fields, _get_int,
-                                   _get_matrix, _get_str, _load_records)
+                                   _get_matrix, _get_str)
 
     seen = set()
     width = None
@@ -1243,7 +1300,7 @@ def reference_load_track_scores(path) -> list:
         flat = np.fromiter(chain.from_iterable(mat), np.float64, width * len(mat))
         return TrackScores(video, track, start, flat.reshape(len(mat), width))
 
-    out = _load_records(path, TRACK_SCORES_SCHEMA, parse)
+    out = reference_load_records(path, TRACK_SCORES_SCHEMA, parse)
     out.sort(key=lambda t: t.key)
     return out
 

@@ -5,14 +5,18 @@ lists them, and checks for a repeated key where the table's ``unique`` entry
 stands. ``oracles.reference_load_*`` keep the loaders with one hand-written
 parse closure each. A load must give the same objects as its reference, or
 the same ``path:line: message``, on every single-value mutation of a
-canonical file and on mutations of whole records: a field dropped, an
-unknown field added, a record repeated, and a repeated record with one bad
-field. The last pins where each schema's duplicate-key check falls.
+canonical file and on mutations of whole lines and records: a line JSON
+decoding refuses or that holds no object, a field dropped, an unknown field
+added, a record repeated, and a repeated record with one bad field. The last
+pins where each schema's duplicate-key check falls.
 
-Both sides read every field with the package's field readers, which
-``test_ndjson_codec`` compares with their own references; a last test checks
-that those readers are looked up when a file is loaded, so that patching
-them reaches the loaders.
+The references read each line with their own ``JSONDecoder.decode``
+(``oracles.reference_load_records``), so a line the loaders' scanner call
+rejects must give ``decode``'s message at the same line; they read the
+detection rows with their own reader, and every other field with the
+package's field readers, which ``test_ndjson_codec`` compares with their own
+references. A last test checks that those readers are looked up when a file
+is loaded, so that patching them reaches the loaders.
 """
 
 import contextlib
@@ -22,8 +26,6 @@ from unittest import mock
 import pytest
 
 from tubekit import datamodel
-from tubekit.datamodel import Detection
-from tubekit.geometry import Box
 
 import oracles
 from test_ndjson_codec import (
@@ -48,18 +50,10 @@ REFERENCES = {
 }
 
 
-def _package_dets(obj, config):
-    # The Detection-list reference reads its rows with a reader of its own,
-    # which does not check that a class id is below 2**63; here it reads them
-    # with the package's, so that only the record structure is compared.
-    return [Detection(Box(*row[:4]), row[4], row[5]) for row in datamodel._get_dets(obj, config)]
-
-
 def _assert_same_as_reference(name, path):
     load, takes_config = SCHEMAS[name][2], SCHEMAS[name][3]
     for config in (None, UCF24) if takes_config else (None,):
-        with mock.patch.object(oracles, "_reference_get_dets", _package_dets):
-            reference = _outcome(REFERENCES[name], path, config)
+        reference = _outcome(REFERENCES[name], path, config)
         assert _outcome(load, path, config) == reference, path.read_text()
 
 
@@ -87,8 +81,28 @@ def test_every_single_mutation_matches_reference(tmp_path, name):
     assert _check_files(tmp_path, name, files()) > 100
 
 
+# Lines that JSON decoding refuses or that hold no object. The loaders call
+# the JSON scanner directly, and must name what JSONDecoder.decode names.
+LINE_ERRORS = {
+    "extra-data": lambda line: line + "  x",
+    "extra-data-after-tab": lambda line: line + " \t x",
+    "extra-object": lambda line: line + " {}",
+    "expecting-value": lambda line: "x",
+    "closing-bracket": lambda line: "]",
+    "bom": lambda line: "\ufeff" + line,
+    "nan": lambda line: line[:-1] + ',"x":NaN}',
+    "infinity": lambda line: line[:-1] + ',"x":-Infinity}',
+    "deep": lambda line: line[:-1] + ',"x":%s}' % ("[" * 100_000 + "]" * 100_000),
+    "array": lambda line: f"[{line}]",
+}
+
+
 def _record_mutations(lines):
-    """Files with one record changed as a whole: fields dropped or added, records repeated."""
+    """Files with one line or record changed as a whole: a line that is no JSON
+    object, fields dropped or added, records repeated."""
+    for i in range(len(lines)):
+        for change in LINE_ERRORS.values():
+            yield lines[:i] + [change(lines[i])] + lines[i + 1:]
     for i in range(1, len(lines)):
         record = json.loads(lines[i])
         for key in record:
@@ -107,6 +121,25 @@ def _record_mutations(lines):
 def test_record_mutations_match_reference(tmp_path, name):
     lines = _canonical_lines(tmp_path, name)
     assert _check_files(tmp_path, name, _record_mutations(lines)) > 50
+
+
+def test_line_errors_name_what_decode_names(tmp_path):
+    lines = _canonical_lines(tmp_path, "det")
+    path = tmp_path / "mutated.ndjson"
+    end = len(lines[2])
+    expected = {
+        "extra-data": f"invalid JSON: Extra data: line 1 column {end + 3} (char {end + 2})",
+        "expecting-value": "invalid JSON: Expecting value: line 1 column 1 (char 0)",
+        "closing-bracket": "invalid JSON: Expecting value: line 1 column 1 (char 0)",
+        "bom": "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+               "line 1 column 1 (char 0)",
+        "nan": "invalid JSON: non-finite number 'NaN' not allowed",
+        "array": "record must be a JSON object",
+    }
+    for case, message in expected.items():
+        path.write_text("\n".join(lines[:2] + [LINE_ERRORS[case](lines[2])] + lines[3:]) + "\n")
+        assert _outcome(datamodel.load_detections, path, None) == \
+            ("error", f"{path}:3: {message}"), case
 
 
 # The list readers each schema's canonical file calls, and how often: one

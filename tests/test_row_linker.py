@@ -55,6 +55,8 @@ TWO_CLAIMS_ONE_BOX = [frame("a", 0, [((0, 0, 10, 10), 0, 0.5), ((0, 0, 10, 20), 
 @example(TWO_CLAIMS_ONE_BOX, 1.0, 0, 1, TrimParams(0.0, 1))
 @example([frame("a", 0, []), frame("a", 3000, [((0, 0, 10, 10), 2, 1.0)])], 0.0, 10**6, 1,
          TrimParams(0.0, 1))
+@example([frame("a", 2**64 + t, [((0, 0, 10, 10), 0, 0.9)]) for t in (0, 1, 3, 4)], 0.5, 2, 1,
+         TrimParams(3.0, 1))  # frames past int64, one bridged
 def test_build_tubes_matches_reference(tmp_path_factory, frames, gate, max_misses, min_len,
                                        trim):
     link = LinkParams(gate, max_misses, min_len)
