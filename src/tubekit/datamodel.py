@@ -519,7 +519,9 @@ def load_json(path, parse):
 def _load_records(path, schema: str, parse) -> list:
     """``parse`` of each record after the header line; a ValueError is reported at its line."""
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # Lines end at "\n" only: a bare "\r" is JSON whitespace inside a record,
+    # and strip() drops the "\r" of a CRLF line end.
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
         saw_header = False
         try:
             for lineno, raw in enumerate(fh, start=1):

@@ -92,8 +92,11 @@ def _link_rows(cands, by_frame, params: LinkParams) -> list:
     ``by_frame`` lists ``(frame, lo, hi)`` in ascending frame order: the
     frame's candidates are ``cands[lo:hi]``, strongest first. Frames without
     a candidate may be left out: a miss run is counted from frame numbers,
-    and no claim can happen there. Returns the kept paths in creation order
-    as ``(start frame, rows, scores)``, one row and score per frame.
+    and no claim can happen there. When several paths survive into a frame
+    and the gate is positive, only those whose last box overlaps a
+    candidate's box contend: they alone are ranked and scanned for a claim.
+    Returns the kept paths in creation order as ``(start frame, rows,
+    scores)``, one row and score per frame.
     """
     gate = params.iou_gate
     active: list = []
@@ -124,10 +127,22 @@ def _link_rows(cands, by_frame, params: LinkParams) -> list:
                 finish(p)
             else:
                 survivors.append(p)
-        active = survivors
+        active = contenders = survivors
         free = cands[lo:hi]
-        # active is in creation order, so the stable sort breaks ties by it.
-        for p in sorted(active, key=lambda p: -(p.score_sum / (t - p.start))):
+        if len(active) > 1:
+            if gate > 0.0:
+                # IoU >= gate > 0 needs a positive intersection, and a path
+                # that claims nothing changes no one's claims.
+                contenders = []
+                for p in active:
+                    _, x1, y1, x2, y2, _, _ = p.last
+                    for c in free:
+                        if x1 < c[3] and c[1] < x2 and y1 < c[4] and c[2] < y2:
+                            contenders.append(p)
+                            break
+            # active is in creation order, so the stable sort breaks ties by it.
+            contenders = sorted(contenders, key=lambda p: -(p.score_sum / (t - p.start)))
+        for p in contenders:
             for j, cand in enumerate(free):
                 if _tuple_iou(p.last, cand) >= gate:
                     p.frames.append(t)
@@ -248,16 +263,26 @@ def _trim_columns(matrices, params: TrimParams) -> list:
     """``trim_path`` on every column of every (T, K) score matrix, in one pass over time.
 
     Returns every kept segment as a (matrix index, column, start, end) tuple,
-    in ascending order. The matrices are grouped longest first, a group
-    closing when the next is shorter than half its longest, and each group's
-    columns are padded to its longest from row 0: a group holds at most twice
-    its real cells, and the steps stay under twice the longest matrix. The
-    comparisons are ``trim_path``'s ``>=`` rules written as their complements,
-    on the same float operations, so ties break the same way.
+    in ascending order. A column that never scores above 0.5 keeps no
+    segment: label 0 scores ``1 - s >= s`` at every step and, as alpha >= 0,
+    is its own best predecessor, and float rounding is monotone, so the DP
+    keeps label 0 throughout. Such columns are dropped first, and only the
+    live ones are trimmed. Matrices with a live column are grouped longest
+    first, a group closing when the next is shorter than half its longest,
+    and each group's live columns are padded to its longest from row 0: a
+    group holds at most twice its real cells, and the steps stay under twice
+    the longest matrix. The comparisons are ``trim_path``'s ``>=`` rules
+    written as their complements, on the same float operations, so ties
+    break the same way.
     """
     a = params.alpha
+    live = {}  # matrix index -> its columns scoring above 0.5 somewhere
+    for i, m in enumerate(matrices):
+        columns = np.flatnonzero(m.max(axis=0) > 0.5)
+        if len(columns):
+            live[i] = columns
     groups = []
-    for i in sorted(range(len(matrices)), key=lambda i: -len(matrices[i])):
+    for i in sorted(live, key=lambda i: -len(matrices[i])):
         if groups and 2 * len(matrices[i]) >= len(matrices[groups[-1][0]]):
             groups[-1].append(i)
         else:
@@ -265,14 +290,14 @@ def _trim_columns(matrices, params: TrimParams) -> list:
 
     found = []
     for group in groups:
-        widths = [matrices[i].shape[1] for i in group]
+        widths = [len(live[i]) for i in group]
         offsets = np.cumsum([0] + widths)
         n, k = len(matrices[group[0]]), offsets[-1]
         scores = np.zeros((n, k))
         ends = {}  # last row -> the range of columns that end on it
         for i, lo, hi in zip(group, offsets, offsets[1:]):
             last = len(matrices[i]) - 1
-            scores[: last + 1, lo:hi] = matrices[i]
+            scores[: last + 1, lo:hi] = matrices[i][:, live[i]]
             ends[last] = (ends.get(last, (lo,))[0], hi)
 
         back0 = np.empty((n, k), bool)
@@ -311,7 +336,7 @@ def _trim_columns(matrices, params: TrimParams) -> list:
         keep = stop - start >= params.min_segment_length
         column = column[keep]
         owner = np.repeat(group, widths)
-        local = np.arange(k) - np.repeat(offsets[:-1], widths)
+        local = np.concatenate([live[i] for i in group])
         found += zip(owner[column].tolist(), local[column].tolist(),
                      start[keep].tolist(), (stop[keep] - 1).tolist())
     return sorted(found)
@@ -334,6 +359,8 @@ def build_tubes(detections, link_params: LinkParams | None = None,
         boxes, cands, by_class = _by_class(by_video[video_id])
         for c, by_frame in by_class.items():
             for start, path_rows, path_scores in _link_rows(cands, by_frame, link_params):
+                if max(path_scores) <= 0.5:
+                    continue  # no segment: label 0 wins every step (see _trim_columns)
                 for s, e in trim_path(path_scores, trim_params):
                     geom = TubeGeometry(start + s, boxes[path_rows[s : e + 1]])
                     out.append(ActionTube(video_id, c, geom, path_scores[s : e + 1]))

@@ -17,6 +17,9 @@ detection rows with their own reader, and every other field with the
 package's field readers, which ``test_ndjson_codec`` compares with their own
 references. A last test checks that those readers are looked up when a file
 is loaded, so that patching them reaches the loaders.
+
+Lines end at ``\n`` alone: a bare ``\r`` is whitespace inside a record, and
+a CRLF file loads as its LF twin, errors at the same lines.
 """
 
 import contextlib
@@ -140,6 +143,28 @@ def test_line_errors_name_what_decode_names(tmp_path):
         path.write_text("\n".join(lines[:2] + [LINE_ERRORS[case](lines[2])] + lines[3:]) + "\n")
         assert _outcome(datamodel.load_detections, path, None) == \
             ("error", f"{path}:3: {message}"), case
+
+
+def test_bare_carriage_return_is_whitespace_inside_a_record(tmp_path):
+    path = tmp_path / "cr.ndjson"
+    path.write_bytes(b'{"schema":"tubekit.det.v1"}\n{"video":"v","frame":0,\r"dets":[]}\n')
+    assert datamodel.load_detections(path) == [datamodel.FrameDetections("v", 0, [])]
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_crlf_file_loads_as_its_lf_twin(tmp_path, name):
+    load = SCHEMAS[name][2]
+    path = tmp_path / "twin.ndjson"
+    lines = _canonical_lines(tmp_path, name)
+    errors = 0
+    for twin in [lines, *_record_mutations(lines)]:
+        outcomes = []
+        for end in ("\n", "\r\n"):
+            path.write_bytes((end.join(twin) + end).encode())
+            outcomes.append(_outcome(load, path, None))
+        assert outcomes[0] == outcomes[1], twin
+        errors += outcomes[0][0] == "error"
+    assert errors > 50
 
 
 # The list readers each schema's canonical file calls, and how often: one

@@ -22,9 +22,11 @@ from oracles import _gate_iou, reference_build_tubes, reference_greedy_link
 
 # A few overlapping lanes, so that paths link, compete for boxes, bridge gaps
 # and end on misses; (0, 0, 10, 10) against (0, 0, 10, 20) is exactly 0.5,
-# and identical boxes are exactly 1.
+# identical boxes are exactly 1, and (10, 0, 20, 10) shares an edge with
+# (0, 0, 10, 10): IoU 0, which only gate 0 lets a path claim.
 LANES = st.sampled_from([(0.0, 0.0, 10.0, 10.0), (-0.0, 0.0, 10.0, 20.0), (2.0, 0.0, 12.0, 10.0),
-                         (6.0, 0.0, 16.0, 10.0), (40.0, 40.0, 50.0, 50.0), (3.0, 3.0, 3.0, 9.0)])
+                         (6.0, 0.0, 16.0, 10.0), (40.0, 40.0, 50.0, 50.0), (3.0, 3.0, 3.0, 9.0),
+                         (10.0, 0.0, 20.0, 10.0)])
 # Few scores, so ties within a frame and between path means are common.
 SCORES = st.sampled_from([0.0, 0.2, 0.5, 0.5, 0.9, 1.0])
 ENTRY = st.tuples(LANES, st.integers(0, 2), SCORES)
@@ -48,6 +50,16 @@ TWO_CLAIMS_ONE_BOX = [frame("a", 0, [((0, 0, 10, 10), 0, 0.5), ((0, 0, 10, 20), 
                       frame("a", 1, [((0, 0, 10, 10), 0, 0.5)]),
                       frame("a", 1, [((0, 0, 10, 20), 0, 0.9), ((0, 0, 10, 10), 1, 0.2)]),
                       frame("a", 4, [((0, 0, 10, 10), 0, 0.5)])]
+# Two paths survive into frame 1, whose box only shares an edge with the
+# stronger path's: at gate 0 that path claims it, at gate 0.1 no path does.
+EDGE_CLAIM = [frame("a", 0, [((0, 0, 10, 10), 0, 0.9), ((40, 40, 50, 50), 0, 0.5)]),
+              frame("a", 1, [((10, 0, 20, 10), 0, 0.9)])]
+# Three paths survive into frame 1; only the lowest-ranked overlaps its box and claims it.
+LAST_RANK_CLAIMS = [frame("a", 0, [((40, 40, 50, 50), 0, 1.0), ((10, 0, 20, 10), 0, 0.9),
+                                   ((0, 0, 10, 10), 0, 0.2)]),
+                    frame("a", 1, [((0, 0, 10, 10), 0, 0.9)])]
+LONE_SURVIVOR = [frame("a", 0, [((0, 0, 10, 10), 0, 0.9)]),
+                 frame("a", 1, [((0, 0, 10, 10), 0, 0.9), ((2, 0, 12, 10), 0, 0.5)])]
 
 
 @given(FRAMES, GATES, MISSES, st.integers(1, 4), TRIMS)
@@ -57,6 +69,10 @@ TWO_CLAIMS_ONE_BOX = [frame("a", 0, [((0, 0, 10, 10), 0, 0.5), ((0, 0, 10, 20), 
          TrimParams(0.0, 1))
 @example([frame("a", 2**64 + t, [((0, 0, 10, 10), 0, 0.9)]) for t in (0, 1, 3, 4)], 0.5, 2, 1,
          TrimParams(3.0, 1))  # frames past int64, one bridged
+@example(EDGE_CLAIM, 0.0, 0, 1, TrimParams(0.0, 1))
+@example(EDGE_CLAIM, 0.1, 0, 1, TrimParams(0.0, 1))
+@example(LAST_RANK_CLAIMS, 0.5, 0, 1, TrimParams(0.0, 1))
+@example(LONE_SURVIVOR, 1.0, 0, 1, TrimParams(0.0, 1))
 def test_build_tubes_matches_reference(tmp_path_factory, frames, gate, max_misses, min_len,
                                        trim):
     link = LinkParams(gate, max_misses, min_len)
@@ -71,6 +87,10 @@ def test_build_tubes_matches_reference(tmp_path_factory, frames, gate, max_misse
 
 @given(FRAMES, GATES, MISSES, st.integers(1, 4))
 @example(TWO_CLAIMS_ONE_BOX, 0.5, 2, 1)
+@example(EDGE_CLAIM, 0.0, 0, 1)
+@example(EDGE_CLAIM, 0.1, 0, 1)
+@example(LAST_RANK_CLAIMS, 0.5, 0, 1)
+@example(LONE_SURVIVOR, 1.0, 0, 1)
 def test_greedy_link_matches_reference(frames, gate, max_misses, min_len):
     link = LinkParams(gate, max_misses, min_len)
     video = [fd for fd in frames if fd.video_id == "a"]

@@ -10,7 +10,7 @@ import math
 import tracemalloc
 
 import numpy as np
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -56,10 +56,27 @@ def tracks_for(matrices, starts, videos):
     return tracks, scores
 
 
+# Column 0's only score above 0.5 is the next float up, and trim_path keeps it
+# as a segment, so the batched DP must not drop the column.
 @given(trim_cases())
+@example(([np.array([[0.5, 0.2], [np.nextafter(0.5, 1), 0.5], [0.5, 0.0]])],
+          TrimParams(0.0, 1)))
 def test_batched_dp_matches_per_column_trim_path(case):
     matrices, params = case
     assert _trim_columns(matrices, params) == per_column(matrices, params)
+
+
+# Runs of exactly 0.5 tie the two labels at every step of them.
+LOW_SCORES = st.lists(st.sampled_from([0.0, 0.5, 0.5]) | st.floats(0.0, 0.5), min_size=1,
+                      max_size=24)
+
+
+@given(LOW_SCORES, ALPHAS, st.integers(1, 26))
+@example([0.5] * 6, 0.0, 1)
+@example([0.5] * 6, math.inf, 1)
+def test_scores_at_most_half_keep_no_segment(scores, alpha, min_segment_length):
+    # build_tubes and _trim_columns skip such paths and columns on this fact.
+    assert trim_path(scores, TrimParams(alpha, min_segment_length)) == []
 
 
 @given(trim_cases(), st.data())
