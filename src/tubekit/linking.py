@@ -259,89 +259,6 @@ def trim_path(frame_scores, params: TrimParams | None = None) -> list:
     return segments
 
 
-def _trim_columns(matrices, params: TrimParams) -> list:
-    """``trim_path`` on every column of every (T, K) score matrix, in one pass over time.
-
-    Returns every kept segment as a (matrix index, column, start, end) tuple,
-    in ascending order. A column that never scores above 0.5 keeps no
-    segment: label 0 scores ``1 - s >= s`` at every step and, as alpha >= 0,
-    is its own best predecessor, and float rounding is monotone, so the DP
-    keeps label 0 throughout. Such columns are dropped first, and only the
-    live ones are trimmed. Matrices with a live column are grouped longest
-    first, a group closing when the next is shorter than half its longest,
-    and each group's live columns are padded to its longest from row 0: a
-    group holds at most twice its real cells, and the steps stay under twice
-    the longest matrix. The comparisons are ``trim_path``'s ``>=`` rules
-    written as their complements, on the same float operations, so ties
-    break the same way.
-    """
-    a = params.alpha
-    live = {}  # matrix index -> its columns scoring above 0.5 somewhere
-    for i, m in enumerate(matrices):
-        columns = np.flatnonzero(m.max(axis=0) > 0.5)
-        if len(columns):
-            live[i] = columns
-    groups = []
-    for i in sorted(live, key=lambda i: -len(matrices[i])):
-        if groups and 2 * len(matrices[i]) >= len(matrices[groups[-1][0]]):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-
-    found = []
-    for group in groups:
-        widths = [len(live[i]) for i in group]
-        offsets = np.cumsum([0] + widths)
-        n, k = len(matrices[group[0]]), offsets[-1]
-        scores = np.zeros((n, k))
-        ends = {}  # last row -> the range of columns that end on it
-        for i, lo, hi in zip(group, offsets, offsets[1:]):
-            last = len(matrices[i]) - 1
-            scores[: last + 1, lo:hi] = matrices[i][:, live[i]]
-            ends[last] = (ends.get(last, (lo,))[0], hi)
-
-        back0 = np.empty((n, k), bool)
-        back1 = np.empty((n, k), bool)
-        final = np.empty(k, bool)
-        prev0, prev1 = 1.0 - scores[0], scores[0]
-        for t in range(n):
-            if t:
-                switch_to0 = prev1 - a
-                switch_to1 = prev0 - a
-                np.greater(switch_to0, prev0, out=back0[t])
-                np.greater(prev1, switch_to1, out=back1[t])
-                prev0, prev1 = ((1.0 - scores[t]) + np.maximum(prev0, switch_to0),
-                                scores[t] + np.maximum(switch_to1, prev1))
-            if t in ends:
-                lo, hi = ends[t]
-                final[lo:hi] = prev1[lo:hi] > prev0[lo:hi]
-
-        # Rows 0 and n + 1 stay 0, so every run of 1 has a rising and a falling edge.
-        # Rows past a column's end come out 0 as well: its padded scores are 0
-        # there, so from the second padded row on, the best path into label 0
-        # never comes from label 1.
-        labels = np.zeros((n + 2, k), bool)
-        label = np.zeros(k, bool)
-        for t in range(n - 1, -1, -1):
-            if t in ends:
-                lo, hi = ends[t]
-                label[lo:hi] = final[lo:hi]
-            labels[t + 1] = label
-            if t:
-                label = np.where(label, back1[t], back0[t])
-
-        edges = np.diff(labels.view(np.int8), axis=0).T
-        column, start = np.nonzero(edges == 1)
-        stop = np.nonzero(edges == -1)[1]
-        keep = stop - start >= params.min_segment_length
-        column = column[keep]
-        owner = np.repeat(group, widths)
-        local = np.concatenate([live[i] for i in group])
-        found += zip(owner[column].tolist(), local[column].tolist(),
-                     start[keep].tolist(), (stop[keep] - 1).tolist())
-    return sorted(found)
-
-
 def build_tubes(detections, link_params: LinkParams | None = None,
                 trim_params: TrimParams | None = None, jobs: int = 1) -> list:
     """Link then trim one or more videos' detections into action tubes.
@@ -360,7 +277,7 @@ def build_tubes(detections, link_params: LinkParams | None = None,
         for c, by_frame in by_class.items():
             for start, path_rows, path_scores in _link_rows(cands, by_frame, link_params):
                 if max(path_scores) <= 0.5:
-                    continue  # no segment: label 0 wins every step (see _trim_columns)
+                    continue  # no segment: label 0 wins every step (see tracks_to_tubes)
                 for s, e in trim_path(path_scores, trim_params):
                     geom = TubeGeometry(start + s, boxes[path_rows[s : e + 1]])
                     out.append(ActionTube(video_id, c, geom, path_scores[s : e + 1]))
@@ -373,14 +290,21 @@ def tracks_to_tubes(tracks, track_scores, trim_params: TrimParams | None = None,
     """Trim already-linked tracks into per-class action tubes.
 
     ``track_scores`` maps (video, track) to a TrackScores whose matrix rows
-    align 1:1 with the track's frames; every track must be covered.
+    align 1:1 with the track's frames; every track must be covered. Tracks
+    are visited in input order, and each column that scores above 0.5
+    somewhere is trimmed by ``trim_path``, in ascending column order. A
+    column that never does keeps no segment: label 0 scores ``1 - s >= s``
+    at every step and, as alpha >= 0, is its own best predecessor, and
+    float rounding is monotone, so the DP keeps label 0 throughout. Such
+    columns are skipped. The final sort is stable, so tubes that tie on it
+    keep this order.
     ``jobs`` is accepted and ignored: all work runs in one thread.
     """
     trim_params = trim_params or TrimParams()
     if not isinstance(track_scores, dict):
         track_scores = {ts.key: ts for ts in track_scores}
 
-    checked = []
+    out = []
     for tr in tracks:
         ts = track_scores.get(tr.key)
         if ts is None:
@@ -391,13 +315,10 @@ def tracks_to_tubes(tracks, track_scores, trim_params: TrimParams | None = None,
                 f"[{ts.start_frame}, {ts.start_frame + len(ts.scores) - 1}], track covers "
                 f"[{tr.geometry.start_frame}, {tr.geometry.end_frame}]"
             )
-        checked.append((tr, ts.scores))
-
-    out = []
-    for i, c, s, e in _trim_columns([scores for _, scores in checked], trim_params):
-        tr, scores = checked[i]
-        out.append(ActionTube(
-            tr.video_id, c, tr.geometry.slice(s, e), scores[s : e + 1, c].tolist()
-        ))
+        for c in np.flatnonzero(ts.scores.max(axis=0) > 0.5).tolist():
+            column = ts.scores[:, c].tolist()
+            for s, e in trim_path(column, trim_params):
+                out.append(ActionTube(tr.video_id, c, tr.geometry.slice(s, e),
+                                      column[s : e + 1]))
     out.sort(key=_tube_order)
     return out

@@ -528,11 +528,12 @@ def count_changes(labels):
 
 # The per-column trim loop, kept as the reference for exact equality
 #
-# This is ``tracks_to_tubes`` as tubekit shipped it before the batched DP:
-# one scalar ``trim_path`` call per (track, class) column, each column first
-# converted to a list of floats. It shares ``trim_path`` and the result
-# types with the package, because it checks tie-breaking, emit order and
-# tube scores to the bit.
+# One scalar ``trim_path`` call per (track, class) column, each column first
+# converted to a list of floats. ``tracks_to_tubes`` skips the columns that
+# never score above 0.5; this trims them all, so it checks that skipping
+# them loses no segment. It shares ``trim_path`` and the result types with
+# the package, because it checks tie-breaking, emit order and tube scores
+# to the bit.
 
 
 def reference_tracks_to_tubes(tracks, track_scores, trim_params):

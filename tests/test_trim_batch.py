@@ -1,13 +1,12 @@
-"""The batched trim DP against per-column ``trim_path``, compared with ``==``.
+"""``tracks_to_tubes`` against trimming every column, compared with ``==``.
 
-``tracks_to_tubes`` trims every (track, class) column of its input in one
-pass over time; ``oracles.reference_tracks_to_tubes`` is the loop it replaced,
-one scalar ``trim_path`` call per column. Segments, tube order and tube scores
-must all be equal to the reference's, not merely close.
+``tracks_to_tubes`` calls ``trim_path`` only on the (track, class) columns
+that score above 0.5 somewhere; ``oracles.reference_tracks_to_tubes`` calls
+it on every column. Segments, tube order and tube scores must all be equal
+to the reference's, not merely close.
 """
 
 import math
-import tracemalloc
 
 import numpy as np
 from hypothesis import example, given
@@ -16,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from tubekit.datamodel import Track, TrackScores
 from tubekit.geometry import TubeGeometry
-from tubekit.linking import TrimParams, _trim_columns, tracks_to_tubes, trim_path
+from tubekit.linking import TrimParams, tracks_to_tubes, trim_path
 
 from oracles import reference_tracks_to_tubes
 
@@ -42,11 +41,6 @@ def trim_cases(draw):
     return matrices, params
 
 
-def per_column(matrices, params):
-    return [(i, c, s, e) for i, m in enumerate(matrices) for c in range(m.shape[1])
-            for s, e in trim_path(m[:, c], params)]
-
-
 def tracks_for(matrices, starts, videos):
     tracks, scores = [], {}
     for i, (m, start, video) in enumerate(zip(matrices, starts, videos)):
@@ -54,16 +48,6 @@ def tracks_for(matrices, starts, videos):
         tracks.append(Track(video, f"k{i}", TubeGeometry(start, boxes)))
         scores[video, f"k{i}"] = TrackScores(video, f"k{i}", start, m)
     return tracks, scores
-
-
-# Column 0's only score above 0.5 is the next float up, and trim_path keeps it
-# as a segment, so the batched DP must not drop the column.
-@given(trim_cases())
-@example(([np.array([[0.5, 0.2], [np.nextafter(0.5, 1), 0.5], [0.5, 0.0]])],
-          TrimParams(0.0, 1)))
-def test_batched_dp_matches_per_column_trim_path(case):
-    matrices, params = case
-    assert _trim_columns(matrices, params) == per_column(matrices, params)
 
 
 # Runs of exactly 0.5 tie the two labels at every step of them.
@@ -75,7 +59,7 @@ LOW_SCORES = st.lists(st.sampled_from([0.0, 0.5, 0.5]) | st.floats(0.0, 0.5), mi
 @example([0.5] * 6, 0.0, 1)
 @example([0.5] * 6, math.inf, 1)
 def test_scores_at_most_half_keep_no_segment(scores, alpha, min_segment_length):
-    # build_tubes and _trim_columns skip such paths and columns on this fact.
+    # build_tubes and tracks_to_tubes skip such paths and columns on this fact.
     assert trim_path(scores, TrimParams(alpha, min_segment_length)) == []
 
 
@@ -91,10 +75,21 @@ def test_tracks_to_tubes_matches_reference(case, data):
         reference_tracks_to_tubes(tracks, scores, params)
 
 
+def test_column_just_above_half_is_trimmed():
+    # Column 0's only score above 0.5 is the next float up, and trim_path keeps
+    # it as a segment, so the live-column test must not drop the column.
+    m = np.array([[0.5, 0.2], [np.nextafter(0.5, 1), 0.5], [0.5, 0.0]])
+    tracks, scores = tracks_for([m], [0], ["v"])
+    params = TrimParams(0.0, 1)
+    tubes = tracks_to_tubes(tracks, scores, params)
+    assert [(t.class_id, t.geometry.start_frame, len(t.geometry)) for t in tubes] == [(0, 1, 1)]
+    assert tubes == reference_tracks_to_tubes(tracks, scores, params)
+
+
 def test_tied_tubes_keep_track_input_order():
     # Both tracks start at frame 2 and keep class 0 from their first frame, so
     # their tubes tie on (video, class, start_frame); the shorter track comes
-    # first in the input and must stay first, though the DP visits it second.
+    # first in the input and must stay first.
     short = np.tile([0.9, 0.1], (3, 1))
     long = np.tile([0.9, 0.1], (8, 1))
     tracks, scores = tracks_for([short, long], [2, 2], ["v", "v"])
@@ -102,19 +97,3 @@ def test_tied_tubes_keep_track_input_order():
     tubes = tracks_to_tubes(tracks, scores, params)
     assert [len(t.geometry) for t in tubes] == [3, 8]
     assert tubes == reference_tracks_to_tubes(tracks, scores, params)
-
-
-def test_one_long_track_does_not_pad_the_short_ones():
-    # Padding every column to the longest track would take about 4 GB here.
-    rng = np.random.default_rng(58)
-    classes = 24
-    matrices = [rng.uniform(0, 1, (20_000, classes))]
-    matrices += [rng.uniform(0, 1, (2, classes)) for _ in range(500)]
-    real_bytes = sum(m.size for m in matrices) * np.dtype(np.float64).itemsize
-    tracemalloc.start()
-    try:
-        _trim_columns(matrices, TrimParams())
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * real_bytes
