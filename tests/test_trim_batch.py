@@ -97,3 +97,15 @@ def test_tied_tubes_keep_track_input_order():
     tubes = tracks_to_tubes(tracks, scores, params)
     assert [len(t.geometry) for t in tubes] == [3, 8]
     assert tubes == reference_tracks_to_tubes(tracks, scores, params)
+
+
+def test_score_list_is_keyed_by_track():
+    # A list of TrackScores, in any order, is matched to the tracks by
+    # (video, track) and trims exactly as the dict form does.
+    matrices = [np.tile([0.9, 0.1], (3, 1)), np.tile([0.2, 0.8], (4, 1))]
+    tracks, scores = tracks_for(matrices, [0, 1], ["v", "w"])
+    params = TrimParams(alpha=1.0, min_segment_length=1)
+    tubes = tracks_to_tubes(tracks, list(scores.values())[::-1], params)
+    assert [(t.video_id, t.class_id, t.geometry.start_frame) for t in tubes] == \
+        [("v", 0, 0), ("w", 1, 1)]
+    assert tubes == reference_tracks_to_tubes(tracks, scores, params)
